@@ -33,7 +33,7 @@ import os
 import struct
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.ratios import RatioRecord, RatioTable
 from repro.net.prefix import Prefix
@@ -201,7 +201,20 @@ class MmapRatioTable(RatioTable):
             cols["length"][row],
         )
 
-    def _record_at(self, row: int) -> RatioRecord:
+    def subnet_keys(self) -> Iterator[Tuple[int, int, int]]:
+        """``(family, value, length)`` of every row, in row order, read
+        from the key columns alone (no record is materialized)."""
+        cols = self._cols
+        for family, high, low, length in zip(
+            cols["family"].tolist(),
+            cols["value_hi"].tolist(),
+            cols["value_lo"].tolist(),
+            cols["length"].tolist(),
+        ):
+            yield family, (high << 64) | low, length
+
+    def record_at(self, row: int) -> RatioRecord:
+        """The record stored in ``row`` (canonical order)."""
         cols = self._cols
         value = (cols["value_hi"][row] << 64) | cols["value_lo"][row]
         prefix = Prefix(cols["family"][row], value, cols["length"][row])
@@ -246,15 +259,15 @@ class MmapRatioTable(RatioTable):
 
     def __iter__(self) -> Iterator[RatioRecord]:
         for row in range(self._count):
-            yield self._record_at(row)
+            yield self.record_at(row)
 
     def get(self, subnet: Prefix) -> Optional[RatioRecord]:
         row = self._find(subnet)
-        return self._record_at(row) if row >= 0 else None
+        return self.record_at(row) if row >= 0 else None
 
     def records(self, family: Optional[int] = None) -> List[RatioRecord]:
         if family is None:
-            return [self._record_at(row) for row in range(self._count)]
+            return [self.record_at(row) for row in range(self._count)]
         return [record for record in self if record.family == family]
 
     @property

@@ -6,7 +6,7 @@ tier: an asyncio front-end accepts the same line-delimited JSON
 protocol over TCP or ``AF_UNIX`` and fans queries out to N worker
 processes.  Workers never touch the stream engine -- each serves
 longest-prefix-match lookups from an immutable
-:class:`~repro.serve.index.ClassificationIndex` compiled from an mmap
+:class:`~repro.serve.index.ClassificationIndex` built over an mmap
 :class:`~repro.columnar.mmaptable.MmapRatioTable` snapshot, so all
 workers share one copy of the table through the OS page cache.
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -114,18 +115,23 @@ class PhaseReport:
     queries: int = 0
     shed: int = 0
     errors: int = 0
+    #: Queries of requests answered ``{"ok": false}``: sent, not answered.
+    error_queries: int = 0
     elapsed_s: float = 0.0
     latencies_s: List[float] = field(default_factory=list)
 
     def _percentile(self, q: float) -> Optional[float]:
+        """Nearest-rank percentile: the ``ceil(q * n)``-th smallest."""
         if not self.latencies_s:
             return None
         ordered = sorted(self.latencies_s)
-        rank = min(len(ordered) - 1, max(0, int(q * len(ordered)) - 1))
-        return ordered[rank]
+        # Rounding first keeps float noise (0.07 * 100 = 7.000000000000001)
+        # from bumping an exact rank up by one.
+        rank = math.ceil(round(q * len(ordered), 9)) - 1
+        return ordered[min(len(ordered) - 1, max(0, rank))]
 
     def as_dict(self) -> Dict:
-        answered = self.queries - self.shed
+        answered = self.queries - self.shed - self.error_queries
         return {
             "name": self.name,
             "requests": self.requests,
@@ -210,6 +216,7 @@ async def _drive_phase(
                     payload = json.loads(reply)
                 except ValueError:
                     report.errors += 1
+                    report.error_queries += len(chunk)
                     continue
                 if payload.get("overloaded"):
                     report.shed += len(chunk)
@@ -219,6 +226,7 @@ async def _drive_phase(
                             report.shed += 1
                 else:
                     report.errors += 1
+                    report.error_queries += len(chunk)
         finally:
             try:
                 writer.close()

@@ -9,13 +9,17 @@ write-to-temp + ``rename``, so a reader sees either the previous
 generation or the complete new one -- never a torn file.
 
 Readers use :class:`IndexHolder`: poll the pointer, and when a new
-generation appears, map it and compile the full
+generation appears, map it and build its
 :class:`~repro.serve.index.ClassificationIndex` *before* swapping one
-attribute reference.  Queries grab the ``(generation, table, index)``
-triple once and hold plain Python references for the duration of a
-lookup, so the previous mapping is unmapped only by garbage
-collection after its last in-flight reader drops it -- no reader ever
-touches a freed page, and no lock is held while an index builds.
+attribute reference.  The build is one pass over the snapshot's key
+columns into per-(family, length) hash maps -- no trie, and no
+per-entry work: entries and their encoded answers are made on first
+hit, from the mapping, and memoised in that generation's index.
+Queries grab the ``(generation, table, index)`` triple once and hold
+plain Python references for the duration of a lookup, so the previous
+mapping is unmapped only by garbage collection after its last
+in-flight reader drops it -- no reader ever touches a freed page, and
+no lock is held while an index builds.
 """
 
 from __future__ import annotations
@@ -190,14 +194,16 @@ class IndexHolder:
     """A swap-safe, always-consistent view of the latest generation.
 
     ``refresh`` maps the new snapshot and builds the replacement
-    :class:`ClassificationIndex` completely before publishing it to
-    readers with a single attribute assignment (atomic under the
-    GIL).  ``current()`` hands back the whole
-    ``(generation, table, index)`` triple; as long as a reader holds
-    it, the underlying mmap stays alive, so swaps can never free pages
-    under an in-flight query.  The superseded mapping is reclaimed by
-    garbage collection once its last reader finishes -- ``close()`` is
-    deliberately never called on a table that readers may still hold.
+    :class:`ClassificationIndex` (its hash maps, read from the key
+    columns) completely before publishing it to readers with a single
+    attribute assignment (atomic under the GIL).  ``current()`` hands
+    back the whole ``(generation, table, index)`` triple; as long as a
+    reader holds it, the underlying mmap stays alive, so swaps can
+    never free pages under an in-flight query -- nor under the index,
+    which reads an entry from the mapping on its first hit.  The
+    superseded mapping is reclaimed by garbage collection once its
+    last reader finishes -- ``close()`` is deliberately never called
+    on a table that readers may still hold.
     """
 
     def __init__(
@@ -246,7 +252,7 @@ class IndexHolder:
             min_api_hits=self.min_api_hits,
         )
         # Build fully *then* swap: readers see the old triple or the
-        # new one, never a half-built trie.
+        # new one, never a half-built index.
         self._active = (info, table, index)
         return True
 

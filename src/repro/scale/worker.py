@@ -182,8 +182,8 @@ class QueryWorker:
 
     def handle_request(
         self, request: Dict, timings: Optional[Dict] = None
-    ) -> Dict:
-        """Answer one decoded request; never raises."""
+    ) -> bytes:
+        """Answer one decoded request with its reply line; never raises."""
         try:
             fault_point("scale.worker", index=self.requests)
             self.requests += 1
@@ -193,47 +193,48 @@ class QueryWorker:
             if op == "query":
                 return self._handle_query(request, timings)
             if op == "stats":
-                return self.stats()
+                return _dumps(self.stats())
             if op == "ping":
-                return {"ok": True, "pong": True, "pid": os.getpid()}
+                return _dumps({"ok": True, "pong": True, "pid": os.getpid()})
             if op == "refresh":
                 self.maybe_refresh(force=True)
-                return {"ok": True, "generation": self.holder.generation}
-            return {"ok": False, "error": f"unknown op {op!r}"}
+                return _dumps(
+                    {"ok": True, "generation": self.holder.generation}
+                )
+            return _dumps({"ok": False, "error": f"unknown op {op!r}"})
         except Exception as exc:  # noqa: BLE001 -- the loop must survive
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return _dumps({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
 
     def _handle_query(
         self, request: Dict, timings: Optional[Dict] = None
-    ) -> Dict:
+    ) -> bytes:
         queries = request.get("qs")
         single = request.get("q")
         if queries is None and single is None:
-            return {"ok": False, "error": "query op needs 'q' or 'qs'"}
+            return _dumps({"ok": False, "error": "query op needs 'q' or 'qs'"})
         if queries is not None and not isinstance(queries, list):
-            return {"ok": False, "error": "'qs' must be a list"}
+            return _dumps({"ok": False, "error": "'qs' must be a list"})
         active = self.holder.current()
         if active is None:
             self.maybe_refresh(force=True)
             active = self.holder.current()
         if active is None:
-            return {
+            return _dumps({
                 "ok": False,
                 "error": "no snapshot generation published yet",
-            }
-        _info, _table, index = active
+            })
+        encode = active[2].encode
         latency = self.metrics.get("scale_worker_query_latency_seconds")
         counter = self.metrics.get("scale_worker_queries_total")
         slow = self.slow_query_s
 
-        def answer(text) -> Dict:
+        def answer(text) -> str:
             started = time.perf_counter()
             if slow:
                 time.sleep(slow)
-            result = index.query(str(text))
+            encoded = encode(str(text))
             latency.observe(time.perf_counter() - started)
-            counter.inc()
-            return result.to_dict()
+            return encoded
 
         if timings is not None:
             # Tracing must cost nothing per query: the LPM total for
@@ -242,23 +243,29 @@ class QueryWorker:
             # batch wall time is enrichment.  Same closure either way,
             # so tracing-on answers cannot drift.
             lpm_before = latency.total
-            queries_before = counter.value
             batch_started = time.perf_counter()
 
+        # The reply is json.dumps({"ok": True, "results": [...]}) with
+        # compact separators, assembled from the index's encoded answers.
         if queries is not None:
-            response = {
-                "ok": True, "results": [answer(item) for item in queries]
-            }
+            reply = (
+                '{"ok":true,"results":['
+                + ",".join([answer(item) for item in queries])
+                + "]}\n"
+            )
+            answered = len(queries)
         else:
-            response = {"ok": True, "result": answer(single)}
+            reply = '{"ok":true,"result":' + answer(single) + "}\n"
+            answered = 1
+        counter.inc(answered)
 
         if timings is not None:
             batch_elapsed = time.perf_counter() - batch_started
             lpm = latency.total - lpm_before
             timings["lpm"] = lpm
             timings["enrich"] = max(0.0, batch_elapsed - lpm)
-            timings["queries"] = int(counter.value - queries_before)
-        return response
+            timings["queries"] = answered
+        return reply.encode()
 
     def stats(self) -> Dict:
         active = self.holder.current()
@@ -290,19 +297,19 @@ class QueryWorker:
         trace = request.pop("_trace", None)
         obs = self.obs
         if obs is None:
-            return _dumps(self.handle_request(request))
+            return self.handle_request(request)
         decoded = time.perf_counter()
         generation = self.holder.generation
         rid = trace.get("rid", "") if isinstance(trace, dict) else ""
         token = obs.flight.begin(line, rid, generation)
         timings = {"lpm": 0.0, "enrich": 0.0, "queries": 0}
         response = self.handle_request(request, timings=timings)
-        ok = bool(response.get("ok"))
+        ok = response.startswith(b'{"ok":true')
         obs.flight.end(token, ok=ok)
         self._record_spans(
             trace, request, decode_started, decoded, timings, ok
         )
-        return _dumps(response)
+        return response
 
     def _record_spans(
         self,

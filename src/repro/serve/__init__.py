@@ -4,9 +4,10 @@ The paper's census answers point questions -- *is this address
 cellular?* -- and this package turns the streaming engine
 (:mod:`repro.stream`) into a long-running answerer:
 
-- :mod:`repro.serve.index` -- the LPM query engine: per-family radix
-  tries over compiled classification state (ratio, threshold label,
-  confidence tier, AS verdict, demand share);
+- :mod:`repro.serve.index` -- the LPM query engine: one hash map per
+  (family, prefix length) over a ratio table's rows, answering with
+  lazily built, memoised classification state (ratio, threshold
+  label, confidence tier, AS verdict, demand share) and its encoding;
 - :mod:`repro.serve.service` -- the serving front end: line-delimited
   JSON request/response over stdin/stdout or an AF_UNIX socket, with
   periodic atomic snapshots for crash-resume;

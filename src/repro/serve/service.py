@@ -383,10 +383,9 @@ class CellSpotService:
             },
         )
         mapped = open_mmap(info.table_path)
-        # Index entries copy record fields out of the mapping, so the
-        # superseded generation's pages are safe to release now.
-        if self._spool_table is not None:
-            self._spool_table.close()
+        # The index reads entries from its mapping on first hit, so the
+        # superseded mapping is never closed here: it is unmapped by
+        # garbage collection once the index built over it is gone.
         self._spool_table = mapped
         self._ratio_spool.prune(keep=2)
         log_event(

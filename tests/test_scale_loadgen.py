@@ -102,6 +102,36 @@ class TestPhaseReport:
         assert payload["request_p50_s"] == pytest.approx(0.050)
         assert payload["request_p99_s"] == pytest.approx(0.099)
 
+    def test_nearest_rank_with_odd_count(self):
+        # Nearest rank is the ceil(q * n)-th smallest: for 3 samples
+        # the p50 is the middle one, not the minimum.
+        report = PhaseReport("throughput")
+        report.latencies_s = [0.003, 0.001, 0.002]
+        payload = report.as_dict()
+        assert payload["request_p50_s"] == 0.002
+        assert payload["request_p99_s"] == 0.003
+
+    def test_nearest_rank_with_150_samples(self):
+        report = PhaseReport("throughput")
+        report.latencies_s = [float(i + 1) for i in range(150)]
+        payload = report.as_dict()
+        assert payload["request_p50_s"] == 75.0  # ceil(75.0)
+        assert payload["request_p99_s"] == 149.0  # ceil(148.5)
+
+    def test_single_sample(self):
+        report = PhaseReport("throughput")
+        report.latencies_s = [0.5]
+        payload = report.as_dict()
+        assert payload["request_p50_s"] == payload["request_p99_s"] == 0.5
+
+    def test_error_queries_are_not_answered(self):
+        report = PhaseReport("throughput")
+        report.queries = 100
+        report.shed = 10
+        report.error_queries = 30
+        report.elapsed_s = 2.0
+        assert report.as_dict()["queries_per_s"] == pytest.approx(30.0)
+
     def test_empty_phase(self):
         payload = PhaseReport("warmup").as_dict()
         assert payload["queries_per_s"] == 0.0
@@ -177,6 +207,63 @@ class TestRunLoadgen:
         assert report["throughput_queries_per_s"] == pytest.approx(
             throughput["queries_per_s"]
         )
+
+    def test_error_replies_are_not_counted_as_answered(self, tmp_path):
+        socket_path = tmp_path / "stub.sock"
+
+        async def handler(reader, writer):
+            # A plane that refuses every request holding a "bad" query
+            # with a whole-request error, and answers the rest.
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                queries = json.loads(line)["qs"]
+                if "bad" in queries:
+                    payload = {"ok": False, "error": "boom"}
+                else:
+                    payload = {
+                        "ok": True,
+                        "results": [{"matched": False} for _ in queries],
+                    }
+                writer.write(
+                    (json.dumps(payload, separators=(",", ":")) + "\n")
+                    .encode()
+                )
+                await writer.drain()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_unix_server(
+                handler, path=str(socket_path)
+            )
+            try:
+                # 25 requests of 4; every fifth request holds "bad".
+                queries = []
+                for request in range(25):
+                    bad = request % 5 == 0
+                    queries += ["bad" if bad else "198.18.0.1"]
+                    queries += ["198.18.0.1"] * 3
+                return await run_loadgen(
+                    queries, socket_path=socket_path, concurrency=1,
+                    batch=4, warmup=0,
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        report = asyncio.run(scenario())
+        throughput = report["phases"][0]
+        assert report["ok"] is False
+        assert throughput["requests"] == 25
+        assert throughput["queries"] == 100
+        assert throughput["errors"] == 5
+        assert throughput["shed"] == 0
+        # 5 refused requests of 4 queries: 80 answered, not 100.
+        assert throughput["queries_per_s"] == pytest.approx(
+            80 / throughput["elapsed_s"], rel=1e-3
+        )
+        assert report["throughput_queries_per_s"] == throughput["queries_per_s"]
 
     def test_connection_refused_counts_errors(self, tmp_path):
         report = asyncio.run(

@@ -240,6 +240,137 @@ class TestQueryWorkerProtocol:
         assert worker.handle_line(line) == service_bytes(service, batch)
 
 
+def _reference_line(index, request: dict) -> bytes:
+    """The reply the worker must send, built the slow way: every
+    answer's ``to_dict()`` through one ``json.dumps``."""
+    if "qs" in request:
+        payload = {
+            "ok": True,
+            "results": [index.query(str(q)).to_dict() for q in request["qs"]],
+        }
+    else:
+        payload = {"ok": True, "result": index.query(str(request["q"])).to_dict()}
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+
+
+class TestEncodedReplies:
+    """Worker replies are joined from memoised encodings; they must be
+    byte-identical to ``json.dumps`` of the ``to_dict()`` results."""
+
+    @pytest.fixture()
+    def mix(self, engine):
+        records = engine.ratio_table(1).records()
+        v6 = [r for r in records if r.subnet.family == 6][:3]
+        assert v6, "fixture table has no IPv6 subnets"
+        hits = [str(r.subnet) for r in records[:6]] + [
+            str(r.subnet) for r in v6
+        ]
+        addresses = [cidr.split("/")[0] for cidr in hits]
+        return (
+            hits + addresses + addresses  # repeats hit the memo
+            + [
+                "203.0.113.9", "2001:db8:ffff::1", "10.0.0.0/8",  # misses
+                f"  {addresses[0]}\t", f" {hits[1]} ",  # padded
+                "not an ip", "", "   ", "1.2.3", "10.0.0.1/33",
+                "2001:db8::/200", "::1::", "caf\u00e9", 'quo"te\\',
+                5, None, 1.5, True, {"a": 1}, [1, 2],  # non-strings
+            ]
+        )
+
+    def _check(self, worker, catalog, mix) -> None:
+        from repro.columnar.mmaptable import open_mmap
+        from repro.serve.index import ClassificationIndex
+
+        table = open_mmap(catalog.latest().table_path)
+        reference = ClassificationIndex.build(table, demand=None)
+        for request in (
+            {"op": "query", "qs": mix},
+            {"op": "query", "qs": mix},  # every hit now memoised
+            {"op": "query", "qs": []},
+        ):
+            line = json.dumps(request).encode()
+            assert worker.handle_line(line) == _reference_line(
+                reference, request
+            )
+        for query in mix:
+            if query is None:
+                continue  # "q": null is a missing "q" (a protocol error)
+            request = {"op": "query", "q": query}
+            line = json.dumps(request).encode()
+            assert worker.handle_line(line) == _reference_line(
+                reference, request
+            ), query
+
+    def test_untraced_worker(self, engine, mix, tmp_path):
+        catalog = SnapshotCatalog(tmp_path / "cat")
+        catalog.publish(engine.ratio_table(1))
+        worker = QueryWorker(catalog, 0.5, 1)
+        self._check(worker, catalog, mix)
+        queries = worker.metrics.get("scale_worker_queries_total").value
+        latency = worker.metrics.get("scale_worker_query_latency_seconds")
+        assert queries == latency.count == 3 * len(mix) - 1
+
+    def test_worker_with_obs_attached(self, engine, mix, tmp_path):
+        from repro.scale.worker import WorkerObs
+
+        catalog = SnapshotCatalog(tmp_path / "cat")
+        catalog.publish(engine.ratio_table(1))
+        worker = QueryWorker(catalog, 0.5, 1)
+        worker.obs = WorkerObs(
+            tmp_path / "obs", slot=0, trace_id="t", registry=worker.metrics
+        )
+        try:
+            self._check(worker, catalog, mix)
+            # A traced request line: the envelope never reaches the reply.
+            traced = {"op": "query", "qs": mix[:5],
+                      "_trace": {"tid": "t", "rid": "r1", "psid": "p"}}
+            plain = {"op": "query", "qs": mix[:5]}
+            assert worker.handle_line(json.dumps(traced).encode()) == (
+                worker.handle_line(json.dumps(plain).encode())
+            )
+        finally:
+            worker.obs.stop()
+        from repro.obs.trace import read_span_log
+
+        names = {record["name"] for record in read_span_log(tmp_path / "obs" / "worker-0")}
+        assert {"worker.request", "worker.lpm", "worker.enrich"} <= names
+
+    def test_swap_drops_the_previous_generations_memo(self, engine, tmp_path):
+        """After a swap to generation N+1 no answer comes from
+        generation N's memoised encodings."""
+        from repro.core.ratios import RatioRecord, RatioTable
+
+        table = engine.ratio_table(1)
+        records = table.records()[:40]
+        bumped = RatioTable(
+            RatioRecord(
+                subnet=r.subnet, asn=r.asn + 1, country=r.country,
+                api_hits=r.api_hits + 1, cellular_hits=r.cellular_hits,
+                hits=r.hits + 7,
+            )
+            for r in records
+        )
+        catalog = SnapshotCatalog(tmp_path / "cat")
+        catalog.publish(RatioTable(records))
+        worker = QueryWorker(catalog, 0.5, 1)
+        request = {"op": "query", "qs": [str(r.subnet) for r in records]}
+        line = json.dumps(request).encode()
+        first = worker.handle_line(line)
+        assert worker.handle_line(line) == first  # memoised, unchanged
+        catalog.publish(bumped)
+        assert worker.maybe_refresh(force=True) is True
+        second = worker.handle_line(line)
+        from repro.serve.index import ClassificationIndex
+
+        assert second == _reference_line(
+            ClassificationIndex.build(bumped), request
+        )
+        old = json.loads(first)["results"]
+        new = json.loads(second)["results"]
+        assert all(a["hits"] + 7 == b["hits"] for a, b in zip(old, new))
+        assert all(a["asn"] + 1 == b["asn"] for a, b in zip(old, new))
+
+
 class TestFrontHardening:
     """Admission / deadline behaviour, exercised without processes."""
 

@@ -134,6 +134,47 @@ class TestIndexHolder:
         assert result.matched
         assert result.entry.subnet == record.subnet
 
+    def test_racing_first_hits_encode_identically(self, engines):
+        """Threads racing to build the same memoised entries and
+        encodings all get what a fresh index answers (two threads may
+        both build one entry; either result is the same)."""
+        import sys
+
+        from repro.serve.index import ClassificationIndex
+
+        table = engines[1].ratio_table(1)
+        probes = [str(r.subnet) for r in table.records()[:300]]
+        probes += [cidr.split("/")[0] for cidr in probes[:100]]
+        reference = ClassificationIndex.build(table)
+        expected = {
+            q: json.dumps(reference.query(q).to_dict(), separators=(",", ":"))
+            for q in probes
+        }
+        index = ClassificationIndex.build(table)
+        failures = []
+
+        def reader(slot: int) -> None:
+            order = probes[slot * 37:] + probes[:slot * 37]
+            for query in order:
+                if index.encode(query) != expected[query]:
+                    failures.append(query)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(slot,), daemon=True)
+                for slot in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+
     def test_swap_hammer_readers_never_torn(self, engines, tmp_path):
         """Satellite: hammer queries across swaps; every answer must be
         byte-identical to one of the two complete generations."""

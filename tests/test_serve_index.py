@@ -125,7 +125,7 @@ class TestEnrichment:
     def test_some_entries_carry_as_verdicts(self, rich_index):
         verdicts = {
             entry.as_verdict
-            for _, entry in self._entries(rich_index)
+            for entry in rich_index.entries()
             if entry.as_verdict is not None
         }
         assert verdicts, "AS pipeline attached no verdicts at all"
@@ -137,15 +137,10 @@ class TestEnrichment:
         }
 
     def test_demand_share_serialized(self, rich_index):
-        for _, entry in self._entries(rich_index):
+        for entry in rich_index.entries():
             if entry.demand_du:
                 payload = rich_index.query(str(entry.subnet)).to_dict()
                 assert payload["demand_du"] > 0
                 assert 0 < payload["demand_share"] < 1
                 return
         pytest.fail("no entry carried demand")
-
-    @staticmethod
-    def _entries(index):
-        for family in (4, 6):
-            yield from index._tries[family].items()

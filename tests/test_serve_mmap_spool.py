@@ -77,8 +77,9 @@ def test_spool_generations_accumulate_and_prune(lab, tmp_path):
     # pointer tracking the newest.
     assert catalog.generations() == [2, 3]
     assert catalog.latest().number == 3
-    # The superseded mapping was closed after each swap.
+    # The service holds the newest generation's mapping.
     assert service._spool_table is not None
+    assert service._spool_table.path == catalog.latest().table_path
     response = service.handle_request(
         {"op": "query", "q": "203.0.113.1"}
     )
