@@ -527,8 +527,11 @@ def _make_service(args: argparse.Namespace, engine,
                   alert_engine=None, drift_monitor=None):
     from repro.lab import scaled_filter_config
     from repro.obs.metrics import global_registry
-    from repro.serve.metrics import service_metrics
-    from repro.serve.service import CellSpotService, ServiceConfig
+    from repro.serve.service import (
+        CellSpotService,
+        ServiceConfig,
+        service_metrics,
+    )
 
     demand = as_classes = filter_config = None
     if args.with_demand:
@@ -568,7 +571,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     resumes without duplicating or losing a single count.
     """
     from repro.obs.alerts import AlertRuleError
-    from repro.serve.service import install_sigusr1_stats
+    from repro.serve.service import install_sigusr1_registry
     from repro.stream.engine import SnapshotError
 
     if args.events and args.generate:
@@ -606,7 +609,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # With --metrics-out / --trace-out the observability layer
         # owns SIGUSR1 (atomic file dumps); without them, keep the
         # legacy dump-JSON-to-stderr behavior.
-        install_sigusr1_stats(service)
+        install_sigusr1_registry(service.metrics)
     try:
         events, closer = _event_source(args, skip=resumed)
     except ValueError as exc:
@@ -1866,7 +1869,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-pending", type=_positive_int, default=None, metavar="N",
         help="admission bound: shed requests queued beyond N with an "
-             "explicit 'overloaded' response (default: unbounded)",
+             "explicit 'overloaded' response, on stdin and on each "
+             "--socket connection (default: unbounded)",
     )
     serve.add_argument(
         "--deadline", type=_positive_float, default=None, metavar="SECONDS",

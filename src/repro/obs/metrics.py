@@ -3,14 +3,14 @@
 Every execution layer -- batch :class:`~repro.lab.Lab` runs, the
 sharded :mod:`repro.parallel` pipeline, the :mod:`repro.stream`
 engine, and the :mod:`repro.serve` front end -- records into the same
-small, dependency-free metric types defined here (they started life in
-``repro.serve.metrics``, which now re-exports them):
+small, dependency-free metric types defined here:
 
 - :class:`Counter` -- monotonically increasing totals;
 - :class:`Gauge` -- last-written values (queue depths, rates);
 - :class:`Histogram` -- fixed-bucket distributions with conservative
   quantile estimates (a quantile is reported as the upper bound of
-  the bucket it lands in, never an optimistic interpolation);
+  the bucket it lands in, never an optimistic interpolation), and
+  :func:`merge_histogram_dicts` to fold exported ones together;
 - :class:`MetricsRegistry` -- the named collection, exported as JSON
   (the serve ``stats`` op) or Prometheus text format
   (``--metrics-out``, :func:`render_prometheus`).
@@ -44,8 +44,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds): 10us .. 1s, then overflow.
-#: Defined once here; ``repro.serve.metrics`` re-exports it.  All
-#: three presets are frozen tuples and validated (sorted, duplicate-
+#: All three presets are frozen tuples and validated (sorted, duplicate-
 #: free) by :func:`validate_bounds` at registry time, so a preset
 #: typo -- or a caller-supplied list with repeated edges, which would
 #: silently create a dead bucket -- fails loudly at registration.
@@ -202,15 +201,7 @@ class Histogram:
                         return self.bounds[index]
                     return float("inf")
             return None  # unreachable: count > 0 implies a populated bucket
-        rank = q * self.count
-        cumulative = 0
-        for index, bucket in enumerate(self.bucket_counts):
-            cumulative += bucket
-            if cumulative >= rank:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return float("inf")
-        return float("inf")
+        return _bucket_quantile(self.bounds, self.bucket_counts, self.count, q)
 
     def as_dict(self) -> Dict:
         # Deep snapshot: the buckets mapping is rebuilt per call and
@@ -234,6 +225,62 @@ class Histogram:
             "p99": self.quantile(0.99),
             "help": self.help,
         }
+
+
+def merge_histogram_dicts(dicts: List[Dict]) -> Dict:
+    """Merge :meth:`Histogram.as_dict` payloads (same bounds) into one.
+
+    The serving plane folds its workers' latency histograms into one
+    distribution for ``stats`` this way; quantiles stay conservative
+    (bucket upper bound), exactly like the live histograms.
+    """
+    bounds: List[float] = []
+    counts: Dict[float, int] = {}
+    overflow = 0
+    count = 0
+    total = 0.0
+    for payload in dicts:
+        if not payload:
+            continue
+        for key, value in payload.get("buckets", {}).items():
+            bound = float(key)
+            if bound not in counts:
+                counts[bound] = 0
+                bounds.append(bound)
+            counts[bound] += int(value)
+        overflow += int(payload.get("overflow", 0))
+        count += int(payload.get("count", 0))
+        total += float(payload.get("sum", 0.0))
+    bounds.sort()
+    ordered = [counts[bound] for bound in bounds] + [overflow]
+    return {
+        "type": "histogram",
+        "count": count,
+        "sum": total,
+        "mean": total / count if count else 0.0,
+        "buckets": {str(bound): counts[bound] for bound in bounds},
+        "overflow": overflow,
+        "p50": _bucket_quantile(bounds, ordered, count, 0.5),
+        "p99": _bucket_quantile(bounds, ordered, count, 0.99),
+    }
+
+
+def _bucket_quantile(
+    bounds: Sequence[float], bucket_counts: Sequence[int], count: int, q: float
+) -> Optional[float]:
+    """Upper bound of the bucket holding rank ``q * count`` (the last,
+    overflow, bucket reads ``inf``); None when ``count`` is 0."""
+    if count == 0:
+        return None
+    rank = q * count
+    cumulative = 0
+    for index, bucket in enumerate(bucket_counts):
+        cumulative += bucket
+        if cumulative >= rank:
+            if index < len(bounds):
+                return bounds[index]
+            return float("inf")
+    return float("inf")
 
 
 class LabeledGauge:

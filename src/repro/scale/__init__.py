@@ -1,10 +1,12 @@
 """Horizontal serving plane (asyncio front + worker processes).
 
-``repro.scale`` turns the single-process
-:class:`~repro.serve.service.CellSpotService` into a small serving
-tier: an asyncio front-end accepts the same line-delimited JSON
-protocol over TCP or ``AF_UNIX`` and fans queries out to N worker
-processes.  Workers never touch the stream engine -- each serves
+``repro.scale`` is the multi-process serving tier: an asyncio
+front-end accepts the line-delimited JSON protocol of
+:mod:`repro.serve.protocol` -- the one ``cellspot serve`` speaks --
+over TCP or ``AF_UNIX`` and fans queries out to N worker processes,
+whose query replies come from the same reply builder as the
+single-process :class:`~repro.serve.service.CellSpotService`.
+Workers never touch the stream engine -- each serves
 longest-prefix-match lookups from an immutable
 :class:`~repro.serve.index.ClassificationIndex` built over an mmap
 :class:`~repro.columnar.mmaptable.MmapRatioTable` snapshot, so all

@@ -4,7 +4,9 @@ The builder is the only process in the serving plane that mutates
 state.  It owns a :class:`~repro.stream.engine.StreamEngine`, folds
 beacon events in, and every ``publish_every_windows`` window advances
 freezes the current ratio table into a new
-:class:`~repro.scale.snapshot.SnapshotCatalog` generation (plus one
+:class:`~repro.scale.snapshot.SnapshotCatalog` generation through
+:meth:`~repro.scale.snapshot.SnapshotCatalog.publish_engine`, the step
+``cellspot serve --ratio-spool`` publishes through too (plus one
 final generation when the source drains, so short streams still
 publish).  Workers pick the new generation up on their next poll --
 copy-on-rebuild: queries are never blocked by ingestion.
@@ -27,9 +29,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional
 
 from repro.scale.snapshot import SnapshotCatalog
-
-#: Spec keys understood by :func:`event_source`.
-SOURCE_KINDS = ("jsonl", "generate")
 
 
 def event_source(spec: Dict) -> Iterator:
@@ -112,16 +111,10 @@ def builder_main(
     def publish() -> None:
         nonlocal published_at_window
         started = time.perf_counter()
-        info = catalog.publish(
-            engine.ratio_table(min_api_hits),
-            meta={
-                "events": engine.events_consumed,
-                "windows": engine.windows_advanced,
-                "month": engine.month,
-            },
+        info = catalog.publish_engine(
+            engine, min_api_hits, keep=keep_generations
         )
         published_at_window = engine.windows_advanced
-        catalog.prune(keep=keep_generations)
         if span_log is not None:
             try:
                 span_log.record(

@@ -41,8 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.columnar.mmaptable import open_mmap
 from repro.net.addr import format_ip
 from repro.scale.snapshot import SnapshotCatalog
-
-_STREAM_LIMIT = 1 << 20
+from repro.serve.protocol import MAX_LINE_BYTES, dumps
 
 
 # ---- query synthesis ------------------------------------------------------
@@ -156,12 +155,12 @@ def _connector(
 ):
     if socket_path is not None:
         return lambda: asyncio.open_unix_connection(
-            str(socket_path), limit=_STREAM_LIMIT
+            str(socket_path), limit=MAX_LINE_BYTES
         )
     if port is None:
         raise ValueError("loadgen needs a socket path or a TCP port")
     return lambda: asyncio.open_connection(
-        host or "127.0.0.1", port, limit=_STREAM_LIMIT
+        host or "127.0.0.1", port, limit=MAX_LINE_BYTES
     )
 
 
@@ -194,9 +193,7 @@ async def _drive_phase(
                     request = {"op": "query", "q": chunk[0]}
                 else:
                     request = {"op": "query", "qs": chunk}
-                line = (
-                    json.dumps(request, separators=(",", ":")) + "\n"
-                ).encode()
+                line = dumps(request)
                 started = time.perf_counter()
                 try:
                     writer.write(line)

@@ -1,13 +1,14 @@
 """The asyncio front: admission, deadlines, fan-out, respawn, drain.
 
 One :class:`ServingPlane` is the public face of the serving tier.  It
-accepts the service's line-delimited JSON protocol over TCP and/or
-``AF_UNIX``, answers control ops (``stats`` / ``health`` / ``alerts``
-/ ``ping`` / ``shutdown``) itself, and fans ``query`` ops out to N
-worker processes over per-worker ``AF_UNIX`` connections -- one
-request in flight per worker, so replies need no id framing.
+accepts the line-delimited JSON protocol of :mod:`repro.serve.protocol`
+over TCP and/or ``AF_UNIX``, answers control ops (``stats`` /
+``health`` / ``alerts`` / ``ping`` / ``shutdown``) itself, and fans
+``query`` ops out to N worker processes over per-worker ``AF_UNIX``
+connections -- one request in flight per worker, so replies need no
+id framing.
 
-Hardening (ported up from the single-process serve loop):
+Hardening (the same refusals ``cellspot serve`` gives):
 
 - *Admission control*: at most ``max_pending`` query requests are in
   flight across all connections; beyond that, requests are refused
@@ -25,9 +26,11 @@ Hardening (ported up from the single-process serve loop):
   on EOF), and reaps the builder.
 
 Query responses are relayed to the client byte-for-byte as the worker
-serialized them -- the differential suite compares them against
-single-process :class:`~repro.serve.service.CellSpotService` output
-directly.
+serialized them.  Workers and the single-process
+:class:`~repro.serve.service.CellSpotService` build query replies with
+the same :func:`repro.serve.protocol.query_reply`, so the plane's
+answers match the service's by construction; the differential suite
+checks it over real processes.
 """
 
 from __future__ import annotations
@@ -37,40 +40,37 @@ import json
 import logging
 import multiprocessing
 import os
-import socket
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.classifier import DEFAULT_THRESHOLD
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     global_registry,
+    merge_histogram_dicts,
 )
 from repro.runtime.faults import fault_point
 from repro.runtime.logging import get_logger, log_event
 from repro.scale.builder import builder_main
 from repro.scale.snapshot import CatalogError, SnapshotCatalog
 from repro.scale.worker import worker_main
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    SHED_RESPONSE,
+    BadRequest,
+    alerts_payload,
+    claim_socket_path,
+    decode,
+    dumps,
+    error,
+    health_payload,
+)
 
 logger = get_logger("scale.plane")
-
-_STREAM_LIMIT = 1 << 20  # longest tolerated protocol line (1 MiB)
-
-SHED_RESPONSE = (
-    json.dumps(
-        {"ok": False, "error": "overloaded", "overloaded": True},
-        separators=(",", ":"),
-    )
-    + "\n"
-).encode()
-
-
-def _dumps(payload: Dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
 
 
 def plane_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -119,58 +119,6 @@ def plane_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry
         exist_ok=True,
     )
     return registry
-
-
-def merge_histogram_dicts(dicts: List[Dict]) -> Dict:
-    """Merge ``Histogram.as_dict`` payloads (same bounds) into one.
-
-    Used to fold per-worker latency histograms into a single
-    distribution for ``stats``; quantiles stay conservative (bucket
-    upper bound), exactly like the live histograms.
-    """
-    bounds: List[float] = []
-    counts: Dict[float, int] = {}
-    overflow = 0
-    count = 0
-    total = 0.0
-    for payload in dicts:
-        if not payload:
-            continue
-        for key, value in payload.get("buckets", {}).items():
-            bound = float(key)
-            if bound not in counts:
-                counts[bound] = 0
-                bounds.append(bound)
-            counts[bound] += int(value)
-        overflow += int(payload.get("overflow", 0))
-        count += int(payload.get("count", 0))
-        total += float(payload.get("sum", 0.0))
-    bounds.sort()
-    ordered = [counts[bound] for bound in bounds] + [overflow]
-
-    def quantile(q: float) -> Optional[float]:
-        if count == 0:
-            return None
-        rank = q * count
-        cumulative = 0
-        for index, bucket in enumerate(ordered):
-            cumulative += bucket
-            if cumulative >= rank:
-                if index < len(bounds):
-                    return bounds[index]
-                return float("inf")
-        return float("inf")
-
-    return {
-        "type": "histogram",
-        "count": count,
-        "sum": total,
-        "mean": total / count if count else 0.0,
-        "buckets": {str(bound): counts[bound] for bound in bounds},
-        "overflow": overflow,
-        "p50": quantile(0.5),
-        "p99": quantile(0.99),
-    }
 
 
 @dataclass
@@ -311,6 +259,16 @@ class PlaneObs:
 
     # ---- metrics federation ---------------------------------------------
 
+    def _latest_samples(self) -> Iterator[Tuple[str, Dict]]:
+        """``(slot, newest exported sample)`` of each worker, by slot."""
+        from repro.obs.timeseries import read_latest_sample
+
+        for entry in sorted(self.root.glob("worker-*")):
+            if entry.is_dir():
+                sample = read_latest_sample(entry)
+                if sample is not None:
+                    yield entry.name[len("worker-"):], sample
+
     def federation_metrics(self, max_age_s: float = 2.0) -> Dict:
         """Latest per-worker samples as ``name{worker="N"}`` tagged keys.
 
@@ -320,21 +278,11 @@ class PlaneObs:
         than ``max_age_s`` are dropped: a dead worker's stale export
         must not keep feeding the skew alert.
         """
-        from repro.obs.timeseries import (
-            read_latest_sample,
-            split_metric_tag,
-            tag_metric,
-        )
+        from repro.obs.timeseries import split_metric_tag, tag_metric
 
         merged: Dict = {}
         now = time.time()
-        for entry in sorted(self.root.glob("worker-*")):
-            if not entry.is_dir():
-                continue
-            slot = entry.name[len("worker-"):]
-            sample = read_latest_sample(entry)
-            if sample is None:
-                continue
+        for slot, sample in self._latest_samples():
             if now - float(sample.get("ts", 0.0)) > max_age_s:
                 continue
             for name, value in (sample.get("m") or {}).items():
@@ -349,20 +297,10 @@ class PlaneObs:
 
     def worker_rollup(self) -> List[Dict]:
         """Per-worker health rows from the latest federated samples."""
-        from repro.obs.timeseries import read_latest_sample
-
         rows: List[Dict] = []
-        for entry in sorted(self.root.glob("worker-*")):
-            if not entry.is_dir():
-                continue
-            sample = read_latest_sample(entry)
-            if sample is None:
-                continue
+        for slot, sample in self._latest_samples():
             metrics = sample.get("m") or {}
-            row: Dict = {
-                "worker": entry.name[len("worker-"):],
-                "ts": sample.get("ts"),
-            }
+            row: Dict = {"worker": slot, "ts": sample.get("ts")}
             latency = metrics.get("scale_worker_query_latency_seconds")
             if isinstance(latency, list) and latency and latency[0] == "h":
                 row["queries"] = latency[1]
@@ -471,7 +409,6 @@ class ServingPlane:
         self._draining = False
         self._reaper_task: Optional[asyncio.Task] = None
         self._servers: List[asyncio.AbstractServer] = []
-        self._started_at = time.monotonic()
 
     # ---- lifecycle -------------------------------------------------------
 
@@ -575,7 +512,7 @@ class ServingPlane:
         while True:
             try:
                 reader, writer = await asyncio.open_unix_connection(
-                    path, limit=_STREAM_LIMIT
+                    path, limit=MAX_LINE_BYTES
                 )
                 break
             except (FileNotFoundError, ConnectionRefusedError, OSError):
@@ -703,9 +640,7 @@ class ServingPlane:
                     if attempts < self.config.dispatch_retries:
                         attempts += 1
                         continue
-                    return _dumps(
-                        {"ok": False, "error": "worker timeout"}
-                    )
+                    return error("worker timeout")
                 # Deadline shed: the worker is merely busy; reclaim it
                 # once its reply lands.
                 asyncio.ensure_future(self._reclaim(handle, task))
@@ -716,7 +651,7 @@ class ServingPlane:
                 if attempts < self.config.dispatch_retries:
                     attempts += 1
                     continue
-                return _dumps({"ok": False, "error": "worker failed"})
+                return error("worker failed")
             else:
                 handle.inflight = None
                 self._idle.put_nowait(handle)
@@ -744,30 +679,26 @@ class ServingPlane:
         """Answer one protocol line (front op or worker fan-out)."""
         self._requests_handled += 1
         try:
-            request = json.loads(line)
-        except ValueError as exc:
-            return _dumps({"ok": False, "error": f"bad JSON: {exc}"})
-        if not isinstance(request, dict):
-            return _dumps(
-                {"ok": False, "error": "request must be a JSON object"}
-            )
+            request = decode(line)
+        except BadRequest as exc:
+            return error(str(exc))
         op = request.get("op")
         if op == "query":
             return await self._handle_query(line, request)
         if op == "stats":
-            return _dumps(await self.stats())
+            return dumps(await self.stats())
         if op == "health":
-            return _dumps(await self.health())
+            return dumps(await self.health())
         if op == "alerts":
-            return _dumps(self.alerts())
+            return dumps(alerts_payload(self.alert_engine))
         if op == "ping":
-            return _dumps(
+            return dumps(
                 {"ok": True, "pong": True, "workers": self._alive_count()}
             )
         if op == "shutdown":
             self.request_shutdown()
-            return _dumps({"ok": True, "shutdown": True})
-        return _dumps({"ok": False, "error": f"unknown op {op!r}"})
+            return dumps({"ok": True, "shutdown": True})
+        return error(f"unknown op {op!r}")
 
     async def _handle_query(self, line: bytes, request: Dict) -> bytes:
         if self._draining:
@@ -803,7 +734,7 @@ class ServingPlane:
                     "rid": rid,
                     "psid": span_id,
                 }
-                line = _dumps(request)
+                line = dumps(request)
         self._pending += 1
         self.metrics.get("scale_pending_requests").set(float(self._pending))
         started = time.perf_counter()
@@ -851,7 +782,7 @@ class ServingPlane:
         logs the worker slot, so a chronically unresponsive worker is
         visible instead of just missing from the merged histogram.
         """
-        stats_line = _dumps({"op": "stats"})
+        stats_line = dumps({"op": "stats"})
         payloads: List[Dict] = []
         for handle in list(self._workers):
             if not handle.alive:
@@ -922,23 +853,15 @@ class ServingPlane:
 
     async def health(self) -> Dict:
         latency = self.metrics.get("scale_request_latency_seconds")
-        payload = {
-            "ok": True,
-            "ts": time.time(),
-            "plane": self._plane_summary(),
-            "rates": {
+        payload = health_payload(
+            self.alert_engine,
+            plane=self._plane_summary(),
+            rates={
                 "requests_per_s": self.metrics.rate("scale_requests_total"),
                 "queries_per_s": self.metrics.rate("scale_queries_total"),
                 "request_p99_s": latency.quantile(0.99),
             },
-            "alerts": (
-                self.alert_engine.snapshot()
-                if self.alert_engine is not None
-                else []
-            ),
-        }
-        if self.alert_engine is not None:
-            payload["alert_counts"] = self.alert_engine.counts()
+        )
         if self._obs is not None:
             try:
                 payload["workers"] = self._obs.worker_rollup()
@@ -961,17 +884,6 @@ class ServingPlane:
         if max_age_s is None:
             max_age_s = max(4.0 * self.config.obs_scrape_interval_s, 2.0)
         return self._obs.federation_metrics(max_age_s=max_age_s)
-
-    def alerts(self) -> Dict:
-        if self.alert_engine is None:
-            return {"ok": True, "rules": [], "events": [],
-                    "note": "no alert engine configured"}
-        return {
-            "ok": True,
-            "rules": self.alert_engine.snapshot(),
-            "events": self.alert_engine.events[-100:],
-            "trace_id": self.alert_engine.trace_id,
-        }
 
     # ---- serving ---------------------------------------------------------
 
@@ -1003,22 +915,6 @@ class ServingPlane:
             except Exception:  # noqa: BLE001 -- teardown best effort
                 pass
 
-    @staticmethod
-    def _clear_stale_socket(path: Path) -> None:
-        """Remove a dead server's socket file; refuse a live one."""
-        if not path.exists():
-            return
-        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        probe.settimeout(0.2)
-        try:
-            probe.connect(str(path))
-        except (ConnectionRefusedError, FileNotFoundError, socket.timeout):
-            path.unlink(missing_ok=True)
-        else:
-            raise OSError(f"socket {path} is in use by a live server")
-        finally:
-            probe.close()
-
     async def serve(
         self,
         socket_path: Optional[Union[str, Path]] = None,
@@ -1026,18 +922,23 @@ class ServingPlane:
         port: Optional[int] = None,
         ready_callback=None,
     ) -> int:
-        """Run until SIGTERM / ``shutdown``; returns requests handled."""
+        """Run until SIGTERM / ``shutdown``; returns requests handled.
+
+        A socket path owned by a live server is refused (``OSError``)
+        before any worker is spawned.
+        """
         if socket_path is None and port is None:
             raise ValueError("serve needs a socket path and/or a TCP port")
-        await self.start()
         if socket_path is not None:
             socket_path = Path(socket_path)
-            self._clear_stale_socket(socket_path)
+            claim_socket_path(socket_path)
+        await self.start()
+        if socket_path is not None:
             self._servers.append(
                 await asyncio.start_unix_server(
                     self._handle_client,
                     path=str(socket_path),
-                    limit=_STREAM_LIMIT,
+                    limit=MAX_LINE_BYTES,
                 )
             )
         if port is not None:
@@ -1046,7 +947,7 @@ class ServingPlane:
                     self._handle_client,
                     host or "127.0.0.1",
                     port,
-                    limit=_STREAM_LIMIT,
+                    limit=MAX_LINE_BYTES,
                 )
             )
         if ready_callback is not None:

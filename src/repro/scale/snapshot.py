@@ -109,6 +109,25 @@ class SnapshotCatalog:
             number=number, table_path=table_path, meta=pointer["meta"]
         )
 
+    def publish_engine(
+        self, engine, min_api_hits: int, keep: int = 2
+    ) -> GenerationInfo:
+        """Publish a stream engine's ratio table, then prune to ``keep``.
+
+        The generation's ``meta`` records the engine's progress:
+        ``events`` consumed, ``windows`` advanced and the ``month``.
+        """
+        info = self.publish(
+            engine.ratio_table(min_api_hits),
+            meta={
+                "events": engine.events_consumed,
+                "windows": engine.windows_advanced,
+                "month": engine.month,
+            },
+        )
+        self.prune(keep=keep)
+        return info
+
     def prune(self, keep: int = 2) -> List[Path]:
         """Delete generations older than the newest ``keep``.
 

@@ -2,9 +2,10 @@
 
 Each worker owns nothing but an :class:`~repro.scale.snapshot.IndexHolder`
 and a single ``AF_UNIX`` connection to the front.  The protocol is the
-front's own line-delimited JSON, one request in flight at a time (the
-front dispatches at most one request per worker connection), so no
-request-id framing is needed: every request line is answered by
+front's own line-delimited JSON (:mod:`repro.serve.protocol`, whose
+query reply ``cellspot serve`` builds too), one request in flight at a
+time (the front dispatches at most one request per worker connection),
+so no request-id framing is needed: every request line is answered by
 exactly one response line, in order.
 
 Between requests -- and whenever the connection is idle past the poll
@@ -31,7 +32,6 @@ or disappears (EOF): workers never outlive their plane.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
@@ -41,13 +41,10 @@ from typing import Dict, Optional, Union
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.runtime.faults import fault_point, mark_worker_process
 from repro.scale.snapshot import IndexHolder, SnapshotCatalog
+from repro.serve import protocol
 
 #: How long a freshly spawned worker waits for the front to connect.
 ACCEPT_TIMEOUT_S = 30.0
-
-
-def _dumps(payload: Dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
 
 
 def worker_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -193,36 +190,32 @@ class QueryWorker:
             if op == "query":
                 return self._handle_query(request, timings)
             if op == "stats":
-                return _dumps(self.stats())
+                return protocol.dumps(self.stats())
             if op == "ping":
-                return _dumps({"ok": True, "pong": True, "pid": os.getpid()})
+                return protocol.dumps(
+                    {"ok": True, "pong": True, "pid": os.getpid()}
+                )
             if op == "refresh":
                 self.maybe_refresh(force=True)
-                return _dumps(
+                return protocol.dumps(
                     {"ok": True, "generation": self.holder.generation}
                 )
-            return _dumps({"ok": False, "error": f"unknown op {op!r}"})
+            raise protocol.BadRequest(f"unknown op {op!r}")
+        except protocol.BadRequest as exc:
+            return protocol.error(str(exc))
         except Exception as exc:  # noqa: BLE001 -- the loop must survive
-            return _dumps({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+            return protocol.error(f"{type(exc).__name__}: {exc}")
 
     def _handle_query(
         self, request: Dict, timings: Optional[Dict] = None
     ) -> bytes:
-        queries = request.get("qs")
-        single = request.get("q")
-        if queries is None and single is None:
-            return _dumps({"ok": False, "error": "query op needs 'q' or 'qs'"})
-        if queries is not None and not isinstance(queries, list):
-            return _dumps({"ok": False, "error": "'qs' must be a list"})
+        queries = protocol.query_items(request)
         active = self.holder.current()
         if active is None:
             self.maybe_refresh(force=True)
             active = self.holder.current()
         if active is None:
-            return _dumps({
-                "ok": False,
-                "error": "no snapshot generation published yet",
-            })
+            return protocol.error("no snapshot generation published yet")
         encode = active[2].encode
         latency = self.metrics.get("scale_worker_query_latency_seconds")
         counter = self.metrics.get("scale_worker_queries_total")
@@ -245,18 +238,8 @@ class QueryWorker:
             lpm_before = latency.total
             batch_started = time.perf_counter()
 
-        # The reply is json.dumps({"ok": True, "results": [...]}) with
-        # compact separators, assembled from the index's encoded answers.
-        if queries is not None:
-            reply = (
-                '{"ok":true,"results":['
-                + ",".join([answer(item) for item in queries])
-                + "]}\n"
-            )
-            answered = len(queries)
-        else:
-            reply = '{"ok":true,"result":' + answer(single) + "}\n"
-            answered = 1
+        reply = protocol.query_reply(answer, queries, request.get("q"))
+        answered = 1 if queries is None else len(queries)
         counter.inc(answered)
 
         if timings is not None:
@@ -265,7 +248,7 @@ class QueryWorker:
             timings["lpm"] = lpm
             timings["enrich"] = max(0.0, batch_elapsed - lpm)
             timings["queries"] = answered
-        return reply.encode()
+        return reply
 
     def stats(self) -> Dict:
         active = self.holder.current()
@@ -286,11 +269,9 @@ class QueryWorker:
     def handle_line(self, line: bytes) -> bytes:
         decode_started = time.perf_counter()
         try:
-            request = json.loads(line)
-        except ValueError as exc:
-            return _dumps({"ok": False, "error": f"bad JSON: {exc}"})
-        if not isinstance(request, dict):
-            return _dumps({"ok": False, "error": "request must be a JSON object"})
+            request = protocol.decode(line)
+        except protocol.BadRequest as exc:
+            return protocol.error(str(exc))
         # The front's trace envelope never reaches handle_request: the
         # response is built from the remaining fields alone, keeping
         # traced answers byte-identical to untraced ones.

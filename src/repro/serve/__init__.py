@@ -8,41 +8,29 @@ cellular?* -- and this package turns the streaming engine
   (family, prefix length) over a ratio table's rows, answering with
   lazily built, memoised classification state (ratio, threshold
   label, confidence tier, AS verdict, demand share) and its encoding;
-- :mod:`repro.serve.service` -- the serving front end: line-delimited
-  JSON request/response over stdin/stdout or an AF_UNIX socket, with
-  periodic atomic snapshots for crash-resume;
-- :mod:`repro.serve.metrics` -- counters, gauges, and fixed-bucket
-  latency histograms exported as JSON (the ``stats`` op and the
-  SIGUSR1 dump).
+- :mod:`repro.serve.protocol` -- the line-delimited JSON wire
+  protocol: request decoding, the query reply joined from the index's
+  encoded answers, the ``overloaded`` shed line, socket-path claiming.
+  The serving plane (:mod:`repro.scale`) speaks it through the same
+  code;
+- :mod:`repro.serve.service` -- the single-process server: stdin/stdout
+  or an AF_UNIX socket, in-process ingest with periodic atomic
+  snapshots for crash-resume, and its metric set
+  (:func:`~repro.serve.service.service_metrics`).
 
 ``cellspot serve`` and ``cellspot query`` (:mod:`repro.cli`) are thin
-wrappers over :class:`~repro.serve.service.CellSpotService`.
+wrappers over :class:`~repro.serve.service.CellSpotService`.  Metric
+primitives live in :mod:`repro.obs.metrics`.
 """
 
 from repro.serve.index import ClassificationIndex, IndexEntry, QueryResult
-from repro.serve.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    service_metrics,
-)
-from repro.serve.service import (
-    CellSpotService,
-    ServiceConfig,
-    install_sigusr1_stats,
-)
+from repro.serve.service import CellSpotService, ServiceConfig, service_metrics
 
 __all__ = [
     "CellSpotService",
     "ClassificationIndex",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "IndexEntry",
-    "MetricsRegistry",
     "QueryResult",
     "ServiceConfig",
-    "install_sigusr1_stats",
     "service_metrics",
 ]

@@ -35,7 +35,6 @@ subnet) turns into a cache that is nearly always warm.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import (
@@ -58,17 +57,15 @@ from repro.core.ratios import RatioRecord, RatioTable
 from repro.datasets.demand_dataset import DemandDataset, du_to_fraction
 from repro.net.addr import IPV4_BITS, IPV6_BITS, parse_ip
 from repro.net.prefix import Prefix
+from repro.serve.protocol import compact
 
 _BITS = {4: IPV4_BITS, 6: IPV6_BITS}
 #: Encoded answer of a query no stored prefix covers, after its query.
 _MISS_TAIL = ',"ok":true,"matched":false}'
 #: What follows the query of a hit, before the entry's answer fields.
 _HIT_HEAD = ',"ok":true,"matched":true,'
-
-
-#: ``json.dumps(payload, separators=(",", ":"))`` without building an
-#: encoder per call.
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+#: What follows the query of an unanswerable one, before its error.
+_ERROR_HEAD = ',"ok":false,"error":'
 
 
 @dataclass(frozen=True)
@@ -323,18 +320,26 @@ class ClassificationIndex:
         try:
             row = self._match(text)
         except ValueError as exc:
-            return _compact(
-                QueryResult(query=text, matched=False, error=str(exc)).to_dict()
-            )
-        if row < 0:
-            tail = _MISS_TAIL
+            tail = _ERROR_HEAD + encode_basestring_ascii(str(exc)) + "}"
         else:
-            tail = self._tails[row]
-            if tail is None:
-                answer = _compact(self._entry(row).answer())
-                tail = self._tails[row] = _HIT_HEAD + answer[1:]
+            if row < 0:
+                tail = _MISS_TAIL
+            else:
+                tail = self._tails[row]
+                if tail is None:
+                    answer = compact(self._entry(row).answer())
+                    tail = self._tails[row] = _HIT_HEAD + answer[1:]
         # json.dumps(str) is encode_basestring_ascii(str) by definition.
         return '{"query":' + encode_basestring_ascii(text) + tail
+
+    @staticmethod
+    def is_error(encoded: str) -> bool:
+        """Whether an :meth:`encode` answer refuses its query.
+
+        The echoed query is an escaped JSON string, so the unescaped
+        ``"ok":false`` can only be the answer's own field.
+        """
+        return _ERROR_HEAD in encoded
 
     def batch(self, queries: Iterable[str]) -> List[QueryResult]:
         """Answer many queries in order (the batch-query API)."""

@@ -1,9 +1,10 @@
 """The online cell-spotting service.
 
 :class:`CellSpotService` wires a :class:`~repro.stream.StreamEngine`
-to a :class:`~repro.serve.index.ClassificationIndex` behind a
-line-delimited JSON request/response protocol, served over
-stdin/stdout or a local ``AF_UNIX`` socket.
+to a :class:`~repro.serve.index.ClassificationIndex` behind the
+line-delimited JSON protocol of :mod:`repro.serve.protocol`, served
+over stdin/stdout or a local ``AF_UNIX`` socket.  Query replies are
+built by the same code the serving plane's workers run.
 
 Protocol (one JSON object per line)::
 
@@ -16,9 +17,9 @@ Protocol (one JSON object per line)::
     {"op": "snapshot"}                             -> force a state snapshot
     {"op": "shutdown"}                             -> snapshot, ack, stop
 
-Every response carries ``{"ok": true|false}``; malformed requests are
-answered (never crash the loop) and counted in
-``query_errors_total``.
+Every response carries ``{"ok": true|false}``; malformed requests --
+a blank line included -- are answered (never crash the loop) and
+counted in ``query_errors_total``.
 
 **Freshness model.**  The LPM index is a compiled artifact; rebuilding
 it per event would melt the ingest path.  It is rebuilt when a window
@@ -42,7 +43,8 @@ silently:
 - *Admission control* -- with ``max_pending`` set, requests beyond the
   bounded queue are shed with ``{"ok": false, "error": "overloaded",
   "overloaded": true}`` (in request order), counted in
-  ``requests_shed_total``.
+  ``requests_shed_total``.  Stdin and each socket connection run
+  through the same admission loop.
 - *Deadlines* -- with ``deadline_s`` set, batch-query items past the
   request's budget are answered ``overloaded`` instead of holding the
   line occupied.
@@ -66,23 +68,116 @@ from __future__ import annotations
 import json
 import logging
 import queue
+import socket
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Dict, Iterator, Optional, Union
+from typing import IO, Callable, Dict, Iterable, Iterator, Optional, Union
 
 from repro.cdn.logs import BeaconHit
 from repro.core.asn_classifier import ASFilterConfig
 from repro.core.classifier import DEFAULT_THRESHOLD
 from repro.datasets.demand_dataset import DemandDataset
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import fault_point
 from repro.runtime.logging import get_logger, log_event
+from repro.serve import protocol
 from repro.serve.index import ClassificationIndex
-from repro.serve.metrics import MetricsRegistry, service_metrics
 from repro.stream.engine import StreamEngine
 
 _LOG = get_logger("serve.service")
+
+
+def service_metrics(
+    clock=time.monotonic, registry: Optional[MetricsRegistry] = None
+) -> MetricsRegistry:
+    """The serving layer's standard metric set, pre-registered.
+
+    With no ``registry`` a fresh one is created (test isolation, ad
+    hoc services).  Passing one -- typically
+    :func:`repro.obs.metrics.global_registry` -- registers the serving
+    set onto it idempotently (``exist_ok``), so serve metrics land in
+    the same export as the batch/stream instrumentation; ``clock`` is
+    ignored in that case (the shared registry keeps its own).
+    """
+    if registry is None:
+        registry = MetricsRegistry(clock=clock)
+    registry.counter(
+        "events_ingested_total", "beacon events folded into window state",
+        exist_ok=True,
+    )
+    registry.counter(
+        "events_quarantined_total", "malformed events rejected by policy",
+        exist_ok=True,
+    )
+    registry.counter(
+        "window_advances_total", "windows closed into aggregate",
+        exist_ok=True,
+    )
+    registry.counter(
+        "queries_total", "classification queries answered", exist_ok=True
+    )
+    registry.counter(
+        "query_errors_total", "malformed or failed requests", exist_ok=True
+    )
+    registry.counter(
+        "snapshots_written_total", "state snapshots persisted", exist_ok=True
+    )
+    registry.counter(
+        "index_rebuilds_total", "LPM index rebuilds", exist_ok=True
+    )
+    registry.counter(
+        "requests_shed_total",
+        "requests refused by admission control or deadline",
+        exist_ok=True,
+    )
+    registry.counter(
+        "degraded_answers_total",
+        "queries answered stale from the last good index",
+        exist_ok=True,
+    )
+    registry.counter(
+        "index_rebuild_failures_total",
+        "index rebuild attempts that raised",
+        exist_ok=True,
+    )
+    registry.counter(
+        "snapshot_failures_total",
+        "snapshot writes that failed (serving continued)",
+        exist_ok=True,
+    )
+    registry.gauge(
+        "tracked_subnets", "subnets with live window state", exist_ok=True
+    )
+    registry.gauge(
+        "breaker_open",
+        "1 while the index-rebuild circuit breaker is open",
+        exist_ok=True,
+    )
+    registry.gauge(
+        "degraded_mode",
+        "1 while queries are served stale from the last good index",
+        exist_ok=True,
+    )
+    registry.gauge(
+        "pending_requests",
+        "requests queued awaiting the serve loop",
+        exist_ok=True,
+    )
+    registry.gauge(
+        "ingest_events_per_s", "lifetime ingest rate", exist_ok=True
+    )
+    registry.histogram(
+        "query_latency_seconds", "per-query service latency", exist_ok=True
+    )
+    registry.histogram(
+        "ingest_batch_seconds", "latency of ingest batches between requests",
+        bounds=(0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
+        exist_ok=True,
+    )
+    return registry
 
 
 @dataclass(frozen=True)
@@ -369,25 +464,18 @@ class CellSpotService:
         in-heap table.  Spool failures propagate into the caller's
         circuit-breaker path like any other rebuild failure.
         """
-        table = self.engine.ratio_table(self.config.min_api_hits)
         if self._ratio_spool is None or not self.engine.policy.is_exact:
-            return table
+            return self.engine.ratio_table(self.config.min_api_hits)
         from repro.columnar.mmaptable import open_mmap
 
-        info = self._ratio_spool.publish(
-            table,
-            meta={
-                "events": self.engine.events_consumed,
-                "windows": self.engine.windows_advanced,
-                "month": self.engine.month,
-            },
+        info = self._ratio_spool.publish_engine(
+            self.engine, self.config.min_api_hits
         )
         mapped = open_mmap(info.table_path)
         # The index reads entries from its mapping on first hit, so the
         # superseded mapping is never closed here: it is unmapped by
         # garbage collection once the index built over it is gone.
         self._spool_table = mapped
-        self._ratio_spool.prune(keep=2)
         log_event(
             _LOG, logging.INFO, "index.spooled",
             generation=info.number, path=str(info.table_path),
@@ -459,15 +547,20 @@ class CellSpotService:
 
     # ---- request handling ------------------------------------------------
 
+    def _engine_state(self) -> Dict:
+        return {
+            "month": self.engine.month,
+            "events_consumed": self.engine.events_consumed,
+            "windows_advanced": self.engine.windows_advanced,
+            "window_fill": self.engine.state.window_fill,
+            "subnets": self.engine.subnet_count(),
+        }
+
     def stats(self) -> Dict:
         return {
             "ok": True,
             "engine": {
-                "month": self.engine.month,
-                "events_consumed": self.engine.events_consumed,
-                "windows_advanced": self.engine.windows_advanced,
-                "window_fill": self.engine.state.window_fill,
-                "subnets": self.engine.subnet_count(),
+                **self._engine_state(),
                 "policy": {
                     "window_events": self.engine.policy.window_events,
                     "decay": self.engine.policy.decay,
@@ -487,104 +580,84 @@ class CellSpotService:
         response, cheap enough to poll every second (no index rebuild,
         no ratio-table materialization).
         """
-        import time as time_module
-
         latency = self.metrics.get("query_latency_seconds")
-        payload = {
-            "ok": True,
-            "ts": time_module.time(),
-            "engine": {
-                "month": self.engine.month,
-                "events_consumed": self.engine.events_consumed,
-                "windows_advanced": self.engine.windows_advanced,
-                "window_fill": self.engine.state.window_fill,
-                "subnets": self.engine.subnet_count(),
-            },
-            "rates": {
+        return protocol.health_payload(
+            self.alert_engine,
+            engine=self._engine_state(),
+            rates={
                 "events_per_s": self.metrics.rate("events_ingested_total"),
                 "queries_per_s": self.metrics.rate("queries_total"),
                 "query_p99_s": latency.quantile(0.99),
             },
-            "index_entries": (
+            index_entries=(
                 len(self._index) if self._index is not None else 0
             ),
-            "drift": (
+            drift=(
                 self.drift_monitor.summary()
                 if self.drift_monitor is not None
                 else {}
             ),
-            "alerts": (
-                self.alert_engine.snapshot()
-                if self.alert_engine is not None
-                else []
-            ),
-        }
-        if self.alert_engine is not None:
-            payload["alert_counts"] = self.alert_engine.counts()
-        return payload
-
-    def alerts(self) -> Dict:
-        """Alert rule states plus recent transitions."""
-        if self.alert_engine is None:
-            return {"ok": True, "rules": [], "events": [],
-                    "note": "no alert engine configured"}
-        return {
-            "ok": True,
-            "rules": self.alert_engine.snapshot(),
-            "events": self.alert_engine.events[-100:],
-            "trace_id": self.alert_engine.trace_id,
-        }
+        )
 
     def handle_request(self, request: Dict) -> Dict:
-        """Answer one request dict; never raises."""
+        """Answer one request dict (the decoded reply line); never raises."""
+        return json.loads(self._reply(request).decode())
+
+    def handle_line(self, line: str) -> bytes:
+        """Answer one protocol line with its reply line; never raises."""
+        return self._reply(line.strip())
+
+    def _reply(self, request: Union[Dict, str]) -> bytes:
+        """The reply line of one request, decoded or a stripped line."""
         try:
+            if isinstance(request, str):
+                if not request:
+                    raise protocol.BadRequest("empty request line")
+                request = protocol.decode(request)
             fault_point("serve.request", index=self._requests_handled)
             self._requests_handled += 1
             op = request.get("op")
             if op == "query":
-                return self._handle_query(request)
+                return self._query(request)
             if op == "stats":
-                return self.stats()
+                return protocol.dumps(self.stats())
             if op == "health":
-                return self.health()
+                return protocol.dumps(self.health())
             if op == "alerts":
-                return self.alerts()
+                return protocol.dumps(protocol.alerts_payload(self.alert_engine))
             if op == "refresh":
                 index = self.index(force=True)
-                return {"ok": True, "index_entries": len(index)}
+                return protocol.dumps({"ok": True, "index_entries": len(index)})
             if op == "snapshot":
                 path = self.write_snapshot()
                 if path is None:
-                    return {"ok": False, "error": "no snapshot path configured"}
-                return {"ok": True, "snapshot": str(path)}
+                    return protocol.error("no snapshot path configured")
+                return protocol.dumps({"ok": True, "snapshot": str(path)})
             if op == "shutdown":
                 self.shutdown_requested = True
                 path = self.write_snapshot()
-                return {
+                return protocol.dumps({
                     "ok": True,
                     "shutdown": True,
                     "snapshot": str(path) if path else None,
-                }
+                })
+            raise protocol.BadRequest(f"unknown op {op!r}")
+        except protocol.BadRequest as exc:
             self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": f"unknown op {op!r}"}
+            return protocol.error(str(exc))
         except Exception as exc:  # noqa: BLE001 -- the loop must survive
             self.metrics.get("query_errors_total").inc()
             log_event(
                 _LOG, logging.ERROR, "request.failed",
                 error=f"{type(exc).__name__}: {exc}",
             )
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return protocol.error(f"{type(exc).__name__}: {exc}")
 
-    def _handle_query(self, request: Dict) -> Dict:
-        queries = request.get("qs")
-        single = request.get("q")
-        if queries is None and single is None:
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": "query op needs 'q' or 'qs'"}
-        if queries is not None and not isinstance(queries, list):
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": "'qs' must be a list"}
+    def _query(self, request: Dict) -> bytes:
+        queries = protocol.query_items(request)
         index = self.index()
+        encode = index.encode
+        is_error = index.is_error
         latency = self.metrics.get("query_latency_seconds")
         counter = self.metrics.get("queries_total")
         deadline = (
@@ -593,57 +666,109 @@ class CellSpotService:
             else None
         )
 
-        def answer(text) -> Dict:
+        def answer(text) -> str:
             started = time.perf_counter()
-            result = index.query(str(text))
+            encoded = encode(str(text))
             latency.observe(time.perf_counter() - started)
             counter.inc()
-            if result.error is not None:
+            if is_error(encoded):
                 self.metrics.get("query_errors_total").inc()
-            return result.to_dict()
+            return encoded
 
-        def over_deadline() -> bool:
-            return deadline is not None and time.perf_counter() > deadline
-
-        def finish(response: Dict) -> Dict:
-            if self.degraded:
-                # Explicit staleness: degraded answers come from the
-                # last good index, and the client must know.
-                response["stale"] = True
-                self.metrics.get("degraded_answers_total").inc()
-            return response
-
-        if queries is not None:
-            results = []
-            for item in queries:
-                if over_deadline():
-                    self.metrics.get("requests_shed_total").inc()
-                    results.append(
-                        {"ok": False, "error": "overloaded",
-                         "overloaded": True}
-                    )
-                    continue
-                results.append(answer(item))
-            return finish({"ok": True, "results": results})
-        return finish({"ok": True, "result": answer(single)})
-
-    def handle_line(self, line: str) -> Dict:
-        """Parse one protocol line and answer it; never raises."""
-        stripped = line.strip()
-        if not stripped:
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": "empty request line"}
-        try:
-            request = json.loads(stripped)
-        except ValueError as exc:
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": f"bad JSON: {exc}"}
-        if not isinstance(request, dict):
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": "request must be a JSON object"}
-        return self.handle_request(request)
+        if self.degraded:
+            # Explicit staleness: degraded answers come from the last
+            # good index, and the client must know.
+            self.metrics.get("degraded_answers_total").inc()
+        return protocol.query_reply(
+            answer,
+            queries,
+            request.get("q"),
+            deadline=deadline,
+            on_shed=lambda: self.metrics.get("requests_shed_total").inc(),
+            stale=self.degraded,
+        )
 
     # ---- serve loops -----------------------------------------------------
+
+    def _serve_stream(
+        self,
+        requests: Iterable[str],
+        write: Callable[[bytes], None],
+        events: Optional[Iterator[BeaconHit]],
+    ) -> int:
+        """The admission loop: answer one stream's request lines.
+
+        Up to one ingest batch is pulled from ``events`` at startup,
+        before each request and whenever the stream is quiet.  A reader
+        thread queues requests so the loop stays responsive while the
+        handler is busy; with ``max_pending`` set, requests beyond the
+        bound are shed -- in request order -- with an explicit
+        ``overloaded`` reply.  Ends at EOF or shutdown; SIGTERM
+        (:meth:`request_shutdown`) first answers what is queued, the
+        ``shutdown`` op does not.  Returns the number of replies.
+        """
+        answered = 0
+        pending: "queue.Queue" = queue.Queue()
+        admit_lock = threading.Lock()
+        admitted = 0
+        pending_gauge = self.metrics.get("pending_requests")
+
+        def feed() -> None:
+            nonlocal admitted
+            try:
+                for line in requests:
+                    with admit_lock:
+                        bound = self.config.max_pending
+                        if bound is not None and admitted >= bound:
+                            # Shed markers ride the same queue so the
+                            # refusal lands in request order.
+                            pending.put(("shed", line))
+                            continue
+                        admitted += 1
+                        pending_gauge.set(float(admitted))
+                    pending.put(("line", line))
+            except (OSError, ValueError):
+                pass  # the client went away (or sent undecodable bytes)
+            finally:
+                pending.put(("eof", None))
+
+        def answer(kind: str, line: Optional[str]) -> None:
+            nonlocal admitted, answered
+            if kind == "shed":
+                self.metrics.get("requests_shed_total").inc()
+                reply = protocol.SHED_RESPONSE
+            else:
+                with admit_lock:
+                    admitted -= 1
+                    pending_gauge.set(float(admitted))
+                if events is not None:
+                    self.ingest_from(events)
+                reply = self.handle_line(line)
+            write(reply)
+            answered += 1
+
+        threading.Thread(target=feed, daemon=True).start()
+        if events is not None:
+            self.ingest_from(events)
+        while not self.shutdown_requested:
+            try:
+                kind, line = pending.get(timeout=0.05)
+            except queue.Empty:
+                if events is not None:
+                    self.ingest_from(events)
+                continue
+            if kind == "eof":
+                break
+            answer(kind, line)
+        # SIGTERM: what was already queued still gets its answer.
+        while self._drain_on_shutdown:
+            try:
+                kind, line = pending.get_nowait()
+            except queue.Empty:
+                break
+            if kind != "eof":
+                answer(kind, line)
+        return answered
 
     def serve_lines(
         self,
@@ -653,96 +778,19 @@ class CellSpotService:
     ) -> int:
         """Serve line-delimited JSON until EOF or a ``shutdown`` op.
 
-        Before each request (and once at startup) up to one ingest
-        batch is pulled from ``events``, so ingestion makes progress
-        while the request stream is quiet.  Returns the number of
-        requests answered.
-
-        A reader thread feeds requests through a queue so the loop
-        stays responsive while the handler is busy; with
-        ``max_pending`` set, requests arriving beyond the bound are
-        shed -- in request order -- with an explicit ``overloaded``
-        response instead of queueing without limit.  SIGTERM
-        (:meth:`request_shutdown`) drains already-queued requests,
-        snapshots, and returns.
+        Returns the number of requests answered.  EOF drains the event
+        source and snapshots, so a piped session leaves resumable
+        state behind; SIGTERM snapshots after the queued answers.
         """
-        answered = 0
-        pending: "queue.Queue" = queue.Queue()
-        admit_lock = threading.Lock()
-        admitted = 0
-        pending_gauge = self.metrics.get("pending_requests")
-        eof_seen = False
 
-        def feed() -> None:
-            nonlocal admitted
-            for line in requests:
-                with admit_lock:
-                    bound = self.config.max_pending
-                    if bound is not None and admitted >= bound:
-                        # Shed markers ride the same queue so the
-                        # refusal lands in request order.
-                        pending.put(("shed", line))
-                        continue
-                    admitted += 1
-                    pending_gauge.set(float(admitted))
-                pending.put(("line", line))
-            pending.put(("eof", None))
-
-        reader = threading.Thread(target=feed, daemon=True)
-        reader.start()
-        if events is not None:
-            self.ingest_from(events)
-        while True:
-            try:
-                kind, line = pending.get(timeout=0.05)
-            except queue.Empty:
-                if self.shutdown_requested:
-                    break
-                if events is not None:
-                    self.ingest_from(events)
-                continue
-            if kind == "eof":
-                eof_seen = True
-                break
-            if kind == "shed":
-                self.metrics.get("requests_shed_total").inc()
-                response = {
-                    "ok": False, "error": "overloaded", "overloaded": True,
-                }
-            else:
-                with admit_lock:
-                    admitted -= 1
-                    pending_gauge.set(float(admitted))
-                if events is not None:
-                    self.ingest_from(events)
-                response = self.handle_line(line)
-            responses.write(json.dumps(response, separators=(",", ":")))
-            responses.write("\n")
+        def write(reply: bytes) -> None:
+            responses.write(reply.decode())
             responses.flush()
-            answered += 1
-            if self.shutdown_requested and not self._drain_on_shutdown:
-                # The shutdown *op* stops immediately (it already
-                # snapshotted); queued lines are intentionally dropped.
-                break
-        if self.shutdown_requested and self._drain_on_shutdown:
-            # SIGTERM: the work was accepted, so finish it, then leave
-            # resumable state behind.
-            while True:
-                try:
-                    kind, line = pending.get_nowait()
-                except queue.Empty:
-                    break
-                if kind != "line":
-                    continue
-                response = self.handle_line(line)
-                responses.write(json.dumps(response, separators=(",", ":")))
-                responses.write("\n")
-                responses.flush()
-                answered += 1
+
+        answered = self._serve_stream(requests, write, events)
+        if self._drain_on_shutdown:
             self.write_snapshot(raise_errors=False)
-        elif eof_seen and not self.shutdown_requested:
-            # EOF without an explicit shutdown: drain and snapshot so a
-            # piped session still leaves resumable state behind.
+        elif not self.shutdown_requested:  # EOF
             if events is not None:
                 self.drain(events)
             self.write_snapshot()
@@ -760,34 +808,18 @@ class CellSpotService:
     ) -> int:
         """Serve the same protocol over a local ``AF_UNIX`` socket.
 
-        Each connection carries any number of request lines; the
-        server is single-threaded (connections are handled in arrival
-        order) and stops after a ``shutdown`` op or
-        ``max_connections``.  Returns the number of requests answered.
-
-        A leftover socket file from a crashed server is probed with a
-        connect: refused means nobody is listening, so the stale file
-        is removed and the bind proceeds; a live listener raises
-        ``OSError`` instead of silently hijacking the path.  SIGTERM
-        (:meth:`request_shutdown`) is noticed between lines -- reads
-        carry a short timeout -- and ends with a final snapshot.
+        Connections are served one at a time, in arrival order, each
+        through the admission loop of :meth:`serve_lines`; a client's
+        EOF moves on to the next connection.  Stops after a
+        ``shutdown`` op, SIGTERM or ``max_connections``, with a final
+        snapshot.  Returns the number of requests answered.  A dead
+        server's leftover socket file is replaced; a live server's
+        path raises ``OSError``
+        (:func:`~repro.serve.protocol.claim_socket_path`).
         """
-        import socket as socket_module
-
         socket_path = Path(socket_path)
-        if socket_path.exists():
-            if _socket_is_live(socket_path):
-                raise OSError(
-                    f"socket {socket_path} is in use by a live server"
-                )
-            log_event(
-                _LOG, logging.WARNING, "serve.socket.stale_removed",
-                path=socket_path,
-            )
-            socket_path.unlink()
-        server = socket_module.socket(
-            socket_module.AF_UNIX, socket_module.SOCK_STREAM
-        )
+        protocol.claim_socket_path(socket_path)
+        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         answered = 0
         connections = 0
         try:
@@ -802,35 +834,16 @@ class CellSpotService:
                     self.ingest_from(events)
                 try:
                     connection, _addr = server.accept()
-                except socket_module.timeout:
+                except socket.timeout:
                     continue
                 with connection:
-                    # Bounded reads: a silent client must not make the
-                    # server deaf to shutdown requests.  (A partial
-                    # line racing the timeout can be dropped -- fine
-                    # for this prompt-response, line-delimited
-                    # protocol; clients write whole lines.)
-                    connection.settimeout(0.5)
-                    reader = connection.makefile("r")
-                    writer = connection.makefile("w")
-                    while not self.shutdown_requested:
-                        try:
-                            line = reader.readline()
-                        except socket_module.timeout:
-                            if events is not None:
-                                self.ingest_from(events)
-                            continue
-                        except OSError:
-                            break  # client went away mid-line
-                        if not line:
-                            break  # client EOF
-                        response = self.handle_line(line)
-                        writer.write(
-                            json.dumps(response, separators=(",", ":"))
-                        )
-                        writer.write("\n")
-                        writer.flush()
-                        answered += 1
+                    answered += self._serve_stream(
+                        connection.makefile("r"), connection.sendall, events
+                    )
+                    with suppress(OSError):
+                        # Ends the reader thread if it still waits on a
+                        # client the loop stopped serving.
+                        connection.shutdown(socket.SHUT_RDWR)
                 connections += 1
                 if (
                     max_connections is not None
@@ -840,33 +853,8 @@ class CellSpotService:
             self.write_snapshot(raise_errors=False)
         finally:
             server.close()
-            if socket_path.exists():
-                socket_path.unlink()
+            socket_path.unlink(missing_ok=True)
         return answered
-
-
-def _socket_is_live(socket_path: Path, timeout_s: float = 0.2) -> bool:
-    """True when something is accepting connections on ``socket_path``.
-
-    A crashed server leaves its socket file behind (unlink-on-exit
-    never ran); connecting to such a corpse fails with
-    ``ECONNREFUSED``, which is how we tell a stale file from a live
-    server we must not evict.
-    """
-    import socket as socket_module
-
-    probe = socket_module.socket(
-        socket_module.AF_UNIX, socket_module.SOCK_STREAM
-    )
-    probe.settimeout(timeout_s)
-    try:
-        probe.connect(str(socket_path))
-    except OSError:
-        return False
-    else:
-        return True
-    finally:
-        probe.close()
 
 
 def install_sigusr1_registry(registry, stream=None) -> bool:
@@ -894,8 +882,3 @@ def install_sigusr1_registry(registry, stream=None) -> bool:
     except ValueError:  # not the main thread
         return False
     return True
-
-
-def install_sigusr1_stats(service: CellSpotService, stream=None) -> bool:
-    """Dump the service's metrics JSON to ``stream`` on ``SIGUSR1``."""
-    return install_sigusr1_registry(service.metrics, stream=stream)

@@ -107,11 +107,6 @@ class TestQuantileSentinels:
 
 
 class TestBucketPresets:
-    def test_single_definition_is_reexported_by_serve(self):
-        from repro.serve import metrics as serve_metrics
-
-        assert serve_metrics.DEFAULT_LATENCY_BUCKETS is DEFAULT_LATENCY_BUCKETS
-
     def test_default_latency_buckets_resolve_sub_millisecond(self):
         # The serving plane's p99 < 1ms SLO needs resolution *below*
         # the SLO bound: 10us floor, 750us as the last sub-ms edge,

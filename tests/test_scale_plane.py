@@ -23,12 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro.cdn.beacon import BeaconConfig
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_histogram_dicts
 from repro.scale.plane import (
     PlaneConfig,
     SHED_RESPONSE,
     ServingPlane,
-    merge_histogram_dicts,
     plane_metrics,
 )
 from repro.scale.snapshot import SnapshotCatalog

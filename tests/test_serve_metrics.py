@@ -6,59 +6,8 @@ import json
 
 import pytest
 
-from repro.serve.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    service_metrics,
-)
-
-
-class TestObsShim:
-    """serve.metrics is a compatibility façade over repro.obs.metrics."""
-
-    def test_classes_are_the_obs_classes(self):
-        import repro.obs.metrics as obs
-
-        assert Counter is obs.Counter
-        assert Gauge is obs.Gauge
-        assert Histogram is obs.Histogram
-        assert MetricsRegistry is obs.MetricsRegistry
-
-    def test_import_emits_one_deprecation_warning(self):
-        """Pin the shim's warning: category, message, single shot.
-
-        Module execution happens once per process, so the warning is
-        raised at first import only; a reload re-executes the module
-        body and must produce exactly one DeprecationWarning naming
-        the canonical home.
-        """
-        import importlib
-        import warnings
-
-        import repro.serve.metrics as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(shim)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "repro.obs.metrics" in message
-        assert "service_metrics() remains canonical" in message
-
-    def test_reimport_is_silent(self):
-        """sys.modules hits never re-warn (no per-import spam)."""
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.serve.metrics  # noqa: F401 -- cached import
-        assert [w for w in caught
-                if issubclass(w.category, DeprecationWarning)] == []
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.serve.service import service_metrics
 
 
 class TestCounter:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import socket
@@ -10,11 +11,12 @@ import threading
 import pytest
 
 from repro.net.addr import format_ip
+from repro.obs.metrics import MetricsRegistry
+from repro.scale.plane import PlaneConfig, ServingPlane
 from repro.serve.service import (
     CellSpotService,
     CircuitBreaker,
     ServiceConfig,
-    _socket_is_live,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, chaos
 from repro.stream import StreamEngine, WindowPolicy
@@ -144,6 +146,45 @@ class TestAdmissionControl:
             assert refusal["error"] == "overloaded"
         assert service.metrics.get("requests_shed_total").value == len(shed)
 
+    def test_socket_overflow_is_shed_in_order(self, beacon_hits, tmp_path):
+        """``max_pending`` bounds a socket connection the way it bounds
+        stdin: a pipelined burst behind a stalled request is refused."""
+        service = _service(beacon_hits, max_pending=1)
+        service.index()
+        plan = FaultPlan(name="t", faults=[
+            FaultSpec(name="stall", site="serve.request", kind="stall",
+                      at=0, times=1, delay_s=0.3),
+        ])
+        texts = [f"203.0.113.{i}" for i in range(8)]
+        burst = b"".join(
+            json.dumps({"op": "query", "q": text}).encode() + b"\n"
+            for text in texts
+        )
+        socket_path = tmp_path / "svc.sock"
+        with chaos(plan):
+            server = threading.Thread(
+                target=service.serve_socket,
+                args=(socket_path,),
+                kwargs={"max_connections": 1},
+                daemon=True,
+            )
+            server.start()
+            client = _connect_when_ready(socket_path)
+            client.sendall(burst)
+            reader = client.makefile("r")
+            parsed = [json.loads(reader.readline()) for _ in texts]
+            reader.close()
+            client.close()
+            server.join(timeout=10)
+        assert not server.is_alive()
+        served = [r["result"]["query"] for r in parsed if r["ok"]]
+        shed = [r for r in parsed if r.get("overloaded")]
+        assert served[0] == texts[0]  # the stalled request is answered
+        assert shed and len(served) + len(shed) == len(texts)
+        assert served == texts[:len(served)]  # refusals keep request order
+        assert all(not r["ok"] for r in parsed[len(served):])
+        assert service.metrics.get("requests_shed_total").value == len(shed)
+
     def test_unbounded_service_answers_everything(self, beacon_hits):
         service = _service(beacon_hits)
         address = _known_address(beacon_hits)
@@ -239,7 +280,6 @@ class TestSocketProbe:
         corpse.bind(str(socket_path))
         corpse.close()  # no unlink: simulates a crashed server
         assert socket_path.exists()
-        assert not _socket_is_live(socket_path)
 
         service = _service(beacon_hits)
         worker = threading.Thread(
@@ -267,13 +307,62 @@ class TestSocketProbe:
         listener.bind(str(socket_path))
         listener.listen(1)
         try:
-            assert _socket_is_live(socket_path)
             service = _service(beacon_hits)
             with pytest.raises(OSError, match="live server"):
                 service.serve_socket(socket_path)
             assert socket_path.exists()  # the live owner keeps its file
         finally:
             listener.close()
+
+    def test_full_backlog_listener_is_not_evicted(self, beacon_hits, tmp_path):
+        """A live server with a full accept backlog answers the probe's
+        connect with EAGAIN, not ECONNREFUSED: both servers refuse."""
+        socket_path = tmp_path / "svc.sock"
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(str(socket_path))
+        listener.listen(0)
+        waiting = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        waiting.connect(str(socket_path))  # fills the backlog
+        service = _service(beacon_hits[:100])
+        plane = ServingPlane(
+            tmp_path / "cat",
+            config=PlaneConfig(workers=1, startup_timeout_s=2.0),
+            registry=MetricsRegistry(),
+        )
+        try:
+            refusal = _refusal(lambda: service.serve_socket(socket_path))
+            assert "live server" in str(refusal)
+            assert socket_path.exists()
+            refusal = _refusal(
+                lambda: asyncio.run(plane.serve(socket_path=socket_path))
+            )
+            assert "live server" in str(refusal)
+            assert socket_path.exists()
+        finally:
+            service.request_shutdown()
+            plane.request_shutdown()
+            waiting.close()
+            listener.close()
+
+
+def _refusal(serve, timeout_s=10.0):
+    """Run ``serve`` in a thread; the ``OSError`` it refused with.
+
+    A server that evicts the path and starts serving instead never
+    returns, which fails the caller's assertion after ``timeout_s``.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            serve()
+        except OSError as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    return outcome.get("error")
 
 
 def _connect_when_ready(socket_path, attempts=500):

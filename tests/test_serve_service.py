@@ -14,7 +14,7 @@ from repro.net.addr import format_ip
 from repro.serve.service import (
     CellSpotService,
     ServiceConfig,
-    install_sigusr1_stats,
+    install_sigusr1_registry,
 )
 from repro.stream import StreamEngine, WindowPolicy
 
@@ -55,9 +55,9 @@ class TestConfig:
 class TestProtocol:
     def test_single_query(self, beacon_hits):
         service = _service(beacon_hits)
-        response = service.handle_line(
+        response = json.loads(service.handle_line(
             json.dumps({"op": "query", "q": _known_address(beacon_hits)})
-        )
+        ))
         assert response["ok"]
         assert response["result"]["matched"]
         assert "confidence" in response["result"]
@@ -85,7 +85,7 @@ class TestProtocol:
         self, beacon_hits, line, fragment
     ):
         service = _service(beacon_hits[:100])
-        response = service.handle_line(line)
+        response = json.loads(service.handle_line(line))
         assert response["ok"] is False
         assert fragment in response["error"]
         assert service.metrics.get("query_errors_total").value == 1
@@ -248,7 +248,7 @@ class TestSigusr1:
 
         service = _service(beacon_hits[:100])
         sink = io.StringIO()
-        assert install_sigusr1_stats(service, stream=sink)
+        assert install_sigusr1_registry(service.metrics, stream=sink)
         try:
             os.kill(os.getpid(), signal.SIGUSR1)
             payload = json.loads(sink.getvalue())
