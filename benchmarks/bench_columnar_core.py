@@ -20,9 +20,10 @@ from __future__ import annotations
 import random
 import time
 
-from repro.columnar import ops, reference
+from repro.columnar import ops
 from repro.columnar.backend import active_backend_name, numpy_available
 from repro.columnar.batch import BeaconBatch
+from tests import row_oracle as reference
 
 import pytest
 
@@ -100,7 +101,7 @@ def test_group_accumulate_throughput(rows, bench_record):
     backend = active_backend_name()
     batch = BeaconBatch.from_rows(rows, backend)
     best = _best_of(
-        lambda: ops.group_accumulate_beacons(batch, order="canonical")
+        lambda: ops.group_accumulate_beacons(batch)
     )
     events_per_s = len(rows) / best
     print(f"\naccumulate[{backend}]: {events_per_s:,.0f} events/s")
@@ -129,7 +130,7 @@ def test_vectorized_beats_rowwise_reference(rows, bench_record):
 
     def columnar():
         spot, partial = ops.spot_batch(batch, 3, 0.5)
-        ops.group_accumulate_beacons(spot.batch, order="canonical")
+        ops.group_accumulate_beacons(spot.batch)
         return spot, partial
 
     def rowwise():

@@ -90,7 +90,7 @@ def test_sampler_and_profiler_overhead(bench_record):
     def workload():
         batch = BeaconBatch.from_rows(rows, backend)
         spot, _partial = ops.spot_batch(batch, 3, 0.5)
-        ops.group_accumulate_beacons(spot.batch, order="canonical")
+        ops.group_accumulate_beacons(spot.batch)
 
     reset_global_registry()
     workload()  # warm caches/imports outside the timed region

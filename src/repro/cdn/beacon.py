@@ -146,18 +146,3 @@ class BeaconGenerator:
                     api_enabled=api_enabled,
                     connection_type=connection,
                 )
-
-    def dataset_from_hits(self) -> BeaconDataset:
-        """Aggregate the hit-level stream (slow path; equals summarize
-        in distribution)."""
-        dataset = BeaconDataset(month=self.config.month)
-        for hit in self.iter_hits():
-            dataset.observe_hit(
-                subnet=hit.subnet,
-                asn=hit.asn,
-                country=hit.country,
-                browser=hit.browser,
-                api_enabled=hit.api_enabled,
-                cellular_labeled=hit.is_cellular_labeled,
-            )
-        return dataset

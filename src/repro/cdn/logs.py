@@ -127,26 +127,6 @@ class RequestRecord:
         )
 
 
-def iter_batched(records: Iterable, batch_rows: int) -> Iterator[list]:
-    """Chunk a record stream into lists of at most ``batch_rows``.
-
-    The ingest-side feeder for the columnar kernels
-    (:mod:`repro.columnar`): consumers fold one bounded batch at a
-    time instead of one record at a time, without the stream ever
-    being held whole.
-    """
-    if batch_rows < 1:
-        raise ValueError("batch_rows must be >= 1")
-    chunk: list = []
-    for record in records:
-        chunk.append(record)
-        if len(chunk) >= batch_rows:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def write_jsonl(records: Iterable, stream: IO[str]) -> int:
     """Write records with ``to_json`` methods as JSONL; returns count."""
     count = 0

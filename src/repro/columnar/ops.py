@@ -9,15 +9,10 @@ batch's own ``backend`` name, so an operation applied to a batch a
 pool worker pickled back always reads the columns the way they were
 written.
 
-Ordering contracts (the bit-identity currency of this codebase):
-
-* ``order="canonical"`` groups come back sorted by
-  ``(family, value, length)`` -- the order ``RatioTable.merge`` and
-  the dataset ``merge`` monoids pin.
-* ``order="first_seen"`` groups come back in first-occurrence order --
-  the insertion order the serial per-row accumulators produce, which
-  downstream dict iteration (and therefore golden CSV bytes) depends
-  on.
+Ordering contract (the bit-identity currency of this codebase):
+grouped subnets come back sorted by ``(family, value, length)`` --
+the canonical order ``RatioTable.merge`` and the dataset ``merge``
+monoids pin.
 """
 
 from __future__ import annotations
@@ -34,8 +29,8 @@ def spot_batch(
     """Classify one beacon batch: kept rows + labels + per-AS hits.
 
     The columnar kernel behind the ``_spot_shard`` pool worker
-    (replacing its old per-row loop, frozen as
-    :func:`repro.columnar.reference.spot_rows`);
+    (replacing its old per-row loop, frozen as the row-wise oracle
+    ``spot_rows`` in ``tests/row_oracle.py``);
     returns the kept rows (``api >= min_api_hits``, batch order) with
     their labels, plus the batch's ``(asns, hit_sums)`` partial
     (ascending ASN, *all* rows counted).
@@ -78,24 +73,10 @@ def sort_spot_by_idx(spot: SpotBatch) -> SpotBatch:
     return spot.take(k.lex_argsort([spot.batch.idx]))
 
 
-def _group_order(k, perm, starts, order: str):
-    """Group traversal order: positions into ``starts``."""
-    if order == "canonical":
-        return range(len(starts))
-    if order == "first_seen":
-        # Stable sort => perm[start] is the group's smallest original
-        # row; sorting groups by it recovers first-occurrence order.
-        first_rows = k.index_col([perm[s] for s in starts])
-        return k.to_list(k.lex_argsort([first_rows]))
-    raise ValueError(f"unknown group order {order!r}")
-
-
 def group_accumulate_beacons(
-    batch: BeaconBatch,
-    order: str = "canonical",
-    check_meta: bool = False,
+    batch: BeaconBatch, check_meta: bool = False
 ) -> BeaconBatch:
-    """Group by subnet, summing ``hits``/``api``/``cell``.
+    """Group by subnet in canonical order, summing ``hits``/``api``/``cell``.
 
     Metadata (``asn``/``country``) is taken from each group's first
     row; with ``check_meta`` a disagreement inside any group raises
@@ -126,10 +107,7 @@ def group_accumulate_beacons(
     hit_sums = k.segment_sum_int(batch.hits, perm, starts)
     api_sums = k.segment_sum_int(batch.api, perm, starts)
     cell_sums = k.segment_sum_int(batch.cell, perm, starts)
-    rep_rows = [int(perm[s]) for s in starts]
-
-    positions = _group_order(k, perm, starts, order)
-    rep = [rep_rows[g] for g in positions]
+    rep = [int(perm[s]) for s in starts]
     rep_col = k.index_col(rep)
     return BeaconBatch(
         backend=batch.backend,
@@ -140,9 +118,9 @@ def group_accumulate_beacons(
         length=k.take(batch.length, rep_col),
         asn=k.take(batch.asn, rep_col),
         country=[batch.country[r] for r in rep],
-        hits=k.int_col([hit_sums[g] for g in positions]),
-        api=k.int_col([api_sums[g] for g in positions]),
-        cell=k.int_col([cell_sums[g] for g in positions]),
+        hits=k.int_col(hit_sums),
+        api=k.int_col(api_sums),
+        cell=k.int_col(cell_sums),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.datasets.beacon_dataset import BeaconDataset
+from repro.datasets.beacon_dataset import SubnetBeaconCounts
 from repro.datasets.demand_dataset import DemandDataset
 from repro.net.prefix import Prefix
 from repro.stats.cdf import EmpiricalCDF
@@ -93,8 +93,7 @@ class RatioTable:
         Runs as one columnar group-reduce (:mod:`repro.columnar`):
         records from all tables become one record batch, a stable
         lexsort groups equal subnets, and exact integer segment sums
-        replace the per-record dict walk of :meth:`merge_rowwise`
-        (kept as the reference the equivalence suite checks against).
+        total each group.
         """
         from repro.columnar import ops as columnar_ops
         from repro.columnar.backend import active_backend_name
@@ -119,9 +118,7 @@ class RatioTable:
                 )
                 index += 1
         batch = BeaconBatch.from_rows(rows, active_backend_name())
-        merged = columnar_ops.group_accumulate_beacons(
-            batch, order="canonical", check_meta=True
-        )
+        merged = columnar_ops.group_accumulate_beacons(batch, check_meta=True)
         return cls(
             RatioRecord(
                 subnet=Prefix(family, value, length),
@@ -137,46 +134,11 @@ class RatioTable:
         )
 
     @classmethod
-    def merge_rowwise(cls, tables: Iterable["RatioTable"]) -> "RatioTable":
-        """Row-at-a-time :meth:`merge` (reference arm).
-
-        The dict-accumulation loop the columnar merge replaced;
-        property tests pin ``merge == merge_rowwise`` on both array
-        backends.
-        """
-        totals: Dict[Prefix, RatioRecord] = {}
-        for table in tables:
-            for record in table:
-                current = totals.get(record.subnet)
-                if current is None:
-                    totals[record.subnet] = record
-                    continue
-                if (current.asn, current.country) != (
-                    record.asn,
-                    record.country,
-                ):
-                    raise ValueError(
-                        f"conflicting metadata for {record.subnet}"
-                    )
-                totals[record.subnet] = RatioRecord(
-                    subnet=record.subnet,
-                    asn=record.asn,
-                    country=record.country,
-                    api_hits=current.api_hits + record.api_hits,
-                    cellular_hits=current.cellular_hits + record.cellular_hits,
-                    hits=current.hits + record.hits,
-                )
-        ordered = sorted(
-            totals.values(),
-            key=lambda r: (r.subnet.family, r.subnet.value, r.subnet.length),
-        )
-        return cls(ordered)
-
-    @classmethod
     def from_beacons(
-        cls, beacons: BeaconDataset, min_api_hits: int = 1
+        cls, beacons: Iterable[SubnetBeaconCounts], min_api_hits: int = 1
     ) -> "RatioTable":
-        """Compute ratios from a BEACON dataset.
+        """Compute ratios from a BEACON dataset (or any iterable of its
+        per-subnet counts, such as the stream's live windows).
 
         Subnets with fewer than ``min_api_hits`` API-enabled hits are
         dropped: their ratios are statistically meaningless.

@@ -83,6 +83,34 @@ class SubnetBeaconCounts:
         )
 
 
+def fold_hit(
+    by_subnet: Dict[Prefix, SubnetBeaconCounts],
+    subnet: Prefix,
+    asn: int,
+    country: str,
+    api_enabled: bool,
+    cellular_labeled: bool,
+) -> None:
+    """Fold one accepted beacon hit into per-subnet counts.
+
+    The one per-hit counting path: the batch dataset
+    (:meth:`BeaconDataset.observe_hit`) and the stream's windows
+    (:class:`repro.stream.windows.WindowedSubnetState`) both call it.
+    The first hit for a subnet pins its ``asn``/``country``; later
+    hits with other metadata count toward that first entry.
+    """
+    if cellular_labeled and not api_enabled:
+        raise ValueError("cellular label without API data")
+    counts = by_subnet.get(subnet)
+    if counts is None:
+        counts = by_subnet[subnet] = SubnetBeaconCounts(subnet, asn, country)
+    counts.hits += 1
+    if api_enabled:
+        counts.api_hits += 1
+        if cellular_labeled:
+            counts.cellular_hits += 1
+
+
 class BeaconDataset:
     """All BEACON observations for one collection month."""
 
@@ -127,17 +155,8 @@ class BeaconDataset:
         cellular_labeled: bool,
     ) -> None:
         """Accumulate one beacon hit."""
-        counts = self._by_subnet.get(subnet)
-        if counts is None:
-            counts = SubnetBeaconCounts(subnet, asn, country)
-            self._by_subnet[subnet] = counts
-        counts.hits += 1
-        if api_enabled:
-            counts.api_hits += 1
-            if cellular_labeled:
-                counts.cellular_hits += 1
-        elif cellular_labeled:
-            raise ValueError("cellular label without API data")
+        fold_hit(self._by_subnet, subnet, asn, country, api_enabled,
+                 cellular_labeled)
         hits, api = self.browser_counts.get(browser, (0, 0))
         self.browser_counts[browser] = (hits + 1, api + (1 if api_enabled else 0))
 
@@ -150,13 +169,8 @@ class BeaconDataset:
         prev_hits, prev_api = self.browser_counts.get(browser, (0, 0))
         self.browser_counts[browser] = (prev_hits + hits, prev_api + api_hits)
 
-    #: Hits folded per columnar batch by :meth:`from_hits`.
-    INGEST_BATCH_ROWS = 65536
-
     @classmethod
-    def from_hits(
-        cls, month: str, hits, batch_rows: Optional[int] = None
-    ) -> "BeaconDataset":
+    def from_hits(cls, month: str, hits) -> "BeaconDataset":
         """Aggregate an iterable of :class:`~repro.cdn.logs.BeaconHit`.
 
         The ingestion path a real deployment uses: raw per-page-load
@@ -164,124 +178,6 @@ class BeaconDataset:
         fold into per-subnet counts without ever being held in memory.
         Hits from other months are rejected -- the BEACON dataset is a
         monthly collection.
-
-        Hits are folded one bounded record batch at a time through the
-        columnar group-accumulate kernel (:mod:`repro.columnar`) in
-        first-seen order, so the resulting dataset is identical --
-        iteration order, metadata, browser counters -- to the per-hit
-        :meth:`from_hits_rowwise` reference.
-        """
-        from repro.cdn.logs import iter_batched
-        from repro.columnar import ops as columnar_ops
-        from repro.columnar.backend import active_backend_name, kernels_for
-        from repro.columnar.batch import BeaconBatch
-
-        backend = active_backend_name()
-        kernels = kernels_for(backend)
-        dataset = cls(month=month)
-        by_subnet = dataset._by_subnet
-        browser_ids: Dict[Browser, int] = {}
-        browsers_seen: List[Browser] = []
-        mask64 = (1 << 64) - 1
-        batch_rows = batch_rows or cls.INGEST_BATCH_ROWS
-        for chunk in iter_batched(hits, batch_rows):
-            family: List[int] = []
-            value_hi: List[int] = []
-            value_lo: List[int] = []
-            length: List[int] = []
-            asn: List[int] = []
-            country: List[str] = []
-            api: List[int] = []
-            cell: List[int] = []
-            browser_id: List[int] = []
-            subnets: List[Prefix] = []
-            for hit in chunk:
-                if hit.month != month:
-                    raise ValueError(
-                        f"hit from {hit.month} in a {month} collection"
-                    )
-                api_enabled = hit.api_enabled
-                cellular = hit.is_cellular_labeled
-                if cellular and not api_enabled:
-                    raise ValueError("cellular label without API data")
-                subnet = hit.subnet
-                subnets.append(subnet)
-                family.append(subnet.family)
-                value_hi.append(subnet.value >> 64)
-                value_lo.append(subnet.value & mask64)
-                length.append(subnet.length)
-                asn.append(hit.asn)
-                country.append(hit.country)
-                api.append(1 if api_enabled else 0)
-                cell.append(1 if cellular else 0)
-                ident = browser_ids.get(hit.browser)
-                if ident is None:
-                    ident = browser_ids[hit.browser] = len(browsers_seen)
-                    browsers_seen.append(hit.browser)
-                browser_id.append(ident)
-            n = len(subnets)
-            batch = BeaconBatch(
-                backend=backend,
-                idx=kernels.index_col(range(n)),
-                family=kernels.index_col(family),
-                value_hi=kernels.u64_col(value_hi),
-                value_lo=kernels.u64_col(value_lo),
-                length=kernels.index_col(length),
-                asn=kernels.int_col(asn),
-                country=country,
-                hits=kernels.int_col([1] * n),
-                api=kernels.int_col(api),
-                cell=kernels.int_col(cell),
-            )
-            grouped = columnar_ops.group_accumulate_beacons(
-                batch, order="first_seen"
-            )
-            for (
-                idx, _family, _value, _length, group_asn, group_country,
-                group_hits, group_api, group_cell,
-            ) in grouped.to_rows():
-                # idx is the group's first chunk row: reuse its Prefix
-                # and keep first-seen metadata, like observe_hit.
-                subnet = subnets[idx]
-                counts = by_subnet.get(subnet)
-                if counts is None:
-                    by_subnet[subnet] = SubnetBeaconCounts(
-                        subnet, group_asn, group_country,
-                        group_hits, group_api, group_cell,
-                    )
-                else:
-                    counts.hits += group_hits
-                    counts.api_hits += group_api
-                    counts.cellular_hits += group_cell
-            # Per-browser (hits, api) totals via the same grouping
-            # kernels; intern ids ascend in first-seen order, which is
-            # exactly observe_hit's browser_counts insertion order.
-            id_col = kernels.index_col(browser_id)
-            perm = kernels.lex_argsort([id_col])
-            starts = kernels.group_bounds([id_col], perm)
-            uniq = kernels.segment_first(id_col, perm, starts)
-            hit_sums = kernels.segment_sum_int(
-                kernels.int_col([1] * n), perm, starts
-            )
-            api_sums = kernels.segment_sum_int(
-                kernels.int_col(api), perm, starts
-            )
-            for ident, browser_hits, browser_api in zip(
-                uniq, hit_sums, api_sums
-            ):
-                dataset.observe_browser_batch(
-                    browsers_seen[int(ident)], int(browser_hits),
-                    int(browser_api),
-                )
-        return dataset
-
-    @classmethod
-    def from_hits_rowwise(cls, month: str, hits) -> "BeaconDataset":
-        """Per-hit :meth:`from_hits` (reference arm).
-
-        The ``observe_hit`` loop the columnar ingest replaced; the
-        equivalence suite pins ``from_hits == from_hits_rowwise`` on
-        both array backends.
         """
         dataset = cls(month=month)
         for hit in hits:

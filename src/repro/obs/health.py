@@ -225,8 +225,8 @@ class CensusDriftMonitor:
 
         ``window_counts`` is a mapping ``{subnet: counts}`` where each
         counts object carries ``api_hits`` and ``cellular_hits`` (the
-        stream layer's ``SubnetWindowCounts``).  Returns None while the
-        baseline is still accumulating.
+        stream window's ``SubnetBeaconCounts``, in first-seen order).
+        Returns None while the baseline is still accumulating.
         """
         sketch = RatioSketch()
         cellular: Set = set()

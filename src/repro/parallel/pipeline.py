@@ -37,7 +37,7 @@ this equality for arbitrary worker and shard counts.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.asn_classifier import identify_cellular_ases
 from repro.core.classifier import ClassificationResult
@@ -54,11 +54,7 @@ from repro.columnar import ops as columnar_ops
 from repro.columnar.backend import active_backend_name
 from repro.columnar.batch import BeaconBatch, DemandBatch, SpotBatch
 
-from repro.parallel.cache import (
-    CacheEntry,
-    iter_shard_batches,
-    load_shard_columns,
-)
+from repro.parallel.cache import CacheEntry, iter_shard_batches
 from repro.parallel.executor import ShardExecutor, ShardPlan
 from repro.parallel.views import DemandMap
 
@@ -69,25 +65,15 @@ def _spot_shard(
 
     One :func:`repro.columnar.ops.spot_batch` call over the shard's
     record batch -- the vectorized replacement for the per-row loop
-    this worker used to run (frozen as
-    :func:`repro.columnar.reference.spot_rows`), bit-identical to it
-    by the kernel equivalence contract.  Keeps its pre-columnar name
+    this worker used to run (frozen as the row-wise oracle
+    ``spot_rows`` under ``tests/``), bit-identical to it by the kernel
+    equivalence contract.  Keeps its pre-columnar name
     so the ``shard.spot_shard`` span the executor derives from it
     stays stable for trace consumers.  Returns the kept rows as a
     :class:`SpotBatch` plus the shard's ``(asns, hits)`` partial.
     """
     batch, min_api_hits, threshold = args
     return columnar_ops.spot_batch(batch, min_api_hits, threshold)
-
-
-def _fetch_shard(args: Tuple[str, str]) -> Dict[str, list]:
-    """Load one verified columnar shard file whole (pool worker).
-
-    Row-wise-era loader kept for interop; the live fused path streams
-    record batches via :func:`_spot_beacon_shard_file` instead.
-    """
-    path, sha256_hex = args
-    return load_shard_columns(path, sha256_hex)
 
 
 def _spot_beacon_shard_file(
@@ -128,17 +114,6 @@ def _fetch_demand_shard_file(args: Tuple[str, str, str]) -> DemandBatch:
     if not parts:
         return DemandBatch.from_rows([], backend)
     return DemandBatch.concat(parts)
-
-
-def merge_hit_partials(
-    partials: Iterable[Dict[int, int]]
-) -> Dict[int, int]:
-    """Sum per-shard ``{asn: hits}`` partials (order-independent)."""
-    totals: Dict[int, int] = {}
-    for partial in partials:
-        for asn, hits in partial.items():
-            totals[asn] = totals.get(asn, 0) + hits
-    return totals
 
 
 def _assemble_batch(

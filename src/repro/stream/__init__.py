@@ -4,7 +4,9 @@ The paper's census is a batch artifact, but its core quantity --
 per-/24 and /48 cellular ratios from RUM beacons -- arrives naturally
 as a stream.  This package ingests beacon events incrementally and
 maintains windowed per-subnet counters whose drained total is
-*provably equal* to a batch run over the same events:
+*provably equal* to a batch run over the same events -- the windows
+hold the batch dataset's own ``SubnetBeaconCounts``, filled by its
+per-hit fold:
 
 - :mod:`repro.stream.windows` -- tumbling / exponentially-decayed
   window state with deterministic, event-count-driven semantics;
@@ -30,7 +32,6 @@ from repro.stream.sources import (
     skip_events,
 )
 from repro.stream.windows import (
-    SubnetWindowCounts,
     WindowedSubnetState,
     WindowPolicy,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotError",
     "StreamEngine",
-    "SubnetWindowCounts",
     "WindowPolicy",
     "WindowedSubnetState",
     "follow_jsonl",

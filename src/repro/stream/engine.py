@@ -36,7 +36,7 @@ from repro.core.classifier import (
     ClassificationResult,
     SubnetClassifier,
 )
-from repro.core.ratios import RatioRecord, RatioTable
+from repro.core.ratios import RatioTable
 from repro.obs.metrics import MeterCache, instrument
 from repro.runtime.checkpoint import atomic_writer
 from repro.runtime.faults import fault_point
@@ -185,22 +185,13 @@ class StreamEngine:
     def ratio_table(self, min_api_hits: int = 1) -> RatioTable:
         """The live :class:`RatioTable` (aggregate + open window).
 
-        Same record filter as ``RatioTable.from_beacons``: subnets
-        with fewer than ``min_api_hits`` API hits are dropped.
+        Built by ``RatioTable.from_beacons``, so the record filter
+        (subnets with fewer than ``min_api_hits`` API hits are
+        dropped) is the batch one.
         """
-        if min_api_hits < 1:
-            raise ValueError("min_api_hits must be >= 1")
-        return RatioTable(
-            RatioRecord(
-                subnet=subnet,
-                asn=counts.asn,
-                country=counts.country,
-                api_hits=counts.api_hits,
-                cellular_hits=counts.cellular_hits,
-                hits=counts.hits,
-            )
-            for subnet, counts in self.state.combined()
-            if counts.api_hits >= min_api_hits
+        return RatioTable.from_beacons(
+            (counts for _subnet, counts in self.state.combined()),
+            min_api_hits=min_api_hits,
         )
 
     def classification(

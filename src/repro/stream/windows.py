@@ -2,10 +2,17 @@
 
 The batch pipeline sees one month of beacons at once; the online
 engine sees them one at a time.  State is organised as an *open
-window* of integer per-subnet counters plus a *closed aggregate* that
-absorbs each window when it closes:
+window* of per-subnet counters plus a *closed aggregate* that absorbs
+each window when it closes:
 
     aggregate <- aggregate * decay + window
+
+Both are ``{Prefix: SubnetBeaconCounts}`` mappings filled by the
+batch dataset's own per-hit fold
+(:func:`repro.datasets.beacon_dataset.fold_hit`), so a subnet's
+metadata is pinned by its first event in every window, and the
+aggregate keeps the first window's metadata -- exactly what
+``BeaconDataset.from_hits`` keeps, wherever the window boundaries fall.
 
 - ``decay == 1.0`` is a **tumbling accumulate**: integer counters add
   exactly, so a drained stream holds precisely the counts a batch run
@@ -27,58 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.datasets.beacon_dataset import SubnetBeaconCounts, fold_hit
 from repro.net.prefix import Prefix
 
-#: Number -- int under tumbling accumulation, float once decayed.
-Count = float
+#: Per-subnet counters; int under tumbling accumulation, float once decayed.
+Counts = Dict[Prefix, SubnetBeaconCounts]
 
 
-@dataclass
-class SubnetWindowCounts:
-    """Mutable per-subnet counters (mirrors ``SubnetBeaconCounts``).
-
-    Metadata (``asn``, ``country``) is pinned by the first event for
-    the subnet, exactly like ``BeaconDataset.observe_hit``.
-    """
-
-    asn: int
-    country: str
-    hits: Count = 0
-    api_hits: Count = 0
-    cellular_hits: Count = 0
-
-    def observe(self, api_enabled: bool, cellular_labeled: bool) -> None:
-        self.hits += 1
-        if api_enabled:
-            self.api_hits += 1
-            if cellular_labeled:
-                self.cellular_hits += 1
-        elif cellular_labeled:
-            raise ValueError("cellular label without API data")
-
-    def scaled(self, factor: float) -> "SubnetWindowCounts":
-        return SubnetWindowCounts(
-            asn=self.asn,
-            country=self.country,
-            hits=self.hits * factor,
-            api_hits=self.api_hits * factor,
-            cellular_hits=self.cellular_hits * factor,
-        )
-
-    def add(self, other: "SubnetWindowCounts") -> None:
-        """Fold ``other`` in; metadata must agree (first writer wins)."""
-        if (self.asn, self.country) != (other.asn, other.country):
-            raise ValueError(
-                f"conflicting subnet metadata: AS{self.asn}/{self.country} "
-                f"vs AS{other.asn}/{other.country}"
-            )
-        self.hits += other.hits
-        self.api_hits += other.api_hits
-        self.cellular_hits += other.cellular_hits
-
-    def as_row(self) -> List:
-        return [self.asn, self.country, self.hits, self.api_hits,
-                self.cellular_hits]
+def _subnet_key(subnet: Prefix) -> Tuple[int, int, int]:
+    """Canonical subnet order: (family, value, length)."""
+    return subnet.family, subnet.value, subnet.length
 
 
 @dataclass(frozen=True)
@@ -114,8 +79,8 @@ class WindowedSubnetState:
         self.window_fill = 0
         #: Total windows closed so far.
         self.windows_closed = 0
-        self._window: Dict[Prefix, SubnetWindowCounts] = {}
-        self._aggregate: Dict[Prefix, SubnetWindowCounts] = {}
+        self._window: Counts = {}
+        self._aggregate: Counts = {}
         #: Optional observer called at the top of :meth:`advance` with
         #: ``(window_seq, window_counts)`` -- the *closing* window's raw
         #: counters before they are folded into the (possibly decayed)
@@ -134,11 +99,8 @@ class WindowedSubnetState:
         cellular_labeled: bool,
     ) -> bool:
         """Fold one event in; returns True when a window just closed."""
-        counts = self._window.get(subnet)
-        if counts is None:
-            counts = SubnetWindowCounts(asn=asn, country=country)
-            self._window[subnet] = counts
-        counts.observe(api_enabled, cellular_labeled)
+        fold_hit(self._window, subnet, asn, country, api_enabled,
+                 cellular_labeled)
         self.window_fill += 1
         if self.window_fill >= self.policy.window_events:
             self.advance()
@@ -151,53 +113,52 @@ class WindowedSubnetState:
             # Observe-before-fold: the monitor sees the closing
             # window's fresh evidence, untouched by decay or history.
             self.on_advance(self.windows_closed + 1, self._window)
+        aggregate = self._aggregate
         decay = self.policy.decay
         if decay != 1.0:
-            for subnet in list(self._aggregate):
-                self._aggregate[subnet] = self._aggregate[subnet].scaled(decay)
+            for counts in aggregate.values():
+                counts.hits *= decay
+                counts.api_hits *= decay
+                counts.cellular_hits *= decay
         for subnet, counts in self._window.items():
-            current = self._aggregate.get(subnet)
+            current = aggregate.get(subnet)
             if current is None:
-                # Copy: the window dict is cleared and reused.
-                self._aggregate[subnet] = SubnetWindowCounts(
-                    asn=counts.asn,
-                    country=counts.country,
-                    hits=counts.hits,
-                    api_hits=counts.api_hits,
-                    cellular_hits=counts.cellular_hits,
-                )
+                # The window is cleared below: the aggregate takes the
+                # counter over.
+                aggregate[subnet] = counts
             else:
-                current.add(counts)
+                # First seen wins: the aggregate's metadata stays.
+                current.hits += counts.hits
+                current.api_hits += counts.api_hits
+                current.cellular_hits += counts.cellular_hits
         self._window.clear()
         self.window_fill = 0
         self.windows_closed += 1
 
     # ---- views -----------------------------------------------------------
 
-    def combined(self) -> Iterator[Tuple[Prefix, SubnetWindowCounts]]:
+    def combined(self) -> Iterator[Tuple[Prefix, SubnetBeaconCounts]]:
         """Aggregate plus open window, one summed row per subnet.
 
         Rows come out in canonical subnet order (family, value,
         length) so downstream tables are deterministic regardless of
-        event arrival order.
+        event arrival order.  A subnet held on one side only comes out
+        as the state's own counter (read it, never change it); one
+        held on both is summed into a new counter that keeps the
+        aggregate's (first-seen) metadata.
         """
-        merged: Dict[Prefix, SubnetWindowCounts] = {}
-        for source in (self._aggregate, self._window):
-            for subnet, counts in source.items():
-                current = merged.get(subnet)
-                if current is None:
-                    merged[subnet] = SubnetWindowCounts(
-                        asn=counts.asn,
-                        country=counts.country,
-                        hits=counts.hits,
-                        api_hits=counts.api_hits,
-                        cellular_hits=counts.cellular_hits,
-                    )
-                else:
-                    current.add(counts)
-        for subnet in sorted(
-            merged, key=lambda s: (s.family, s.value, s.length)
-        ):
+        merged = dict(self._aggregate)
+        for subnet, counts in self._window.items():
+            current = merged.get(subnet)
+            if current is not None:
+                counts = SubnetBeaconCounts(
+                    subnet, current.asn, current.country,
+                    current.hits + counts.hits,
+                    current.api_hits + counts.api_hits,
+                    current.cellular_hits + counts.cellular_hits,
+                )
+            merged[subnet] = counts
+        for subnet in sorted(merged, key=_subnet_key):
             yield subnet, merged[subnet]
 
     def subnet_count(self) -> int:
@@ -205,9 +166,9 @@ class WindowedSubnetState:
         keys.update(self._window)
         return len(keys)
 
-    def hits_by_asn(self) -> Dict[int, Count]:
+    def hits_by_asn(self) -> Dict[int, float]:
         """Live per-AS hit totals (AS filter rule 2 input)."""
-        totals: Dict[int, Count] = {}
+        totals: Dict[int, float] = {}
         for _subnet, counts in self.combined():
             totals[counts.asn] = totals.get(counts.asn, 0) + counts.hits
         return totals
@@ -217,11 +178,12 @@ class WindowedSubnetState:
     def to_snapshot(self) -> Dict:
         """JSON-shaped state (exact: ints stay ints under decay=1)."""
 
-        def rows(table: Dict[Prefix, SubnetWindowCounts]) -> List[List]:
+        def rows(table: Counts) -> List[List]:
             return [
-                [s.family, s.value, s.length] + table[s].as_row()
-                for s in sorted(
-                    table, key=lambda s: (s.family, s.value, s.length)
+                [s.family, s.value, s.length, c.asn, c.country, c.hits,
+                 c.api_hits, c.cellular_hits]
+                for s, c in sorted(
+                    table.items(), key=lambda item: _subnet_key(item[0])
                 )
             ]
 
@@ -238,6 +200,8 @@ class WindowedSubnetState:
 
     @classmethod
     def from_snapshot(cls, raw: Dict) -> "WindowedSubnetState":
+        """Rebuild state; impossible counts and repeated subnets raise
+        ``ValueError`` instead of loading."""
         policy = WindowPolicy(
             window_events=raw["policy"]["window_events"],
             decay=raw["policy"]["decay"],
@@ -246,13 +210,13 @@ class WindowedSubnetState:
         state.window_fill = raw["window_fill"]
         state.windows_closed = raw["windows_closed"]
 
-        def fill(
-            rows: List[List], table: Dict[Prefix, SubnetWindowCounts]
-        ) -> None:
+        def fill(rows: List[List], table: Counts) -> None:
             for family, value, length, asn, country, hits, api, cell in rows:
-                table[Prefix(family, value, length)] = SubnetWindowCounts(
-                    asn=asn, country=country, hits=hits,
-                    api_hits=api, cellular_hits=cell,
+                subnet = Prefix(family, value, length)
+                if subnet in table:
+                    raise ValueError(f"duplicate snapshot row for {subnet}")
+                table[subnet] = SubnetBeaconCounts(
+                    subnet, asn, country, hits, api, cell
                 )
 
         fill(raw["window"], state._window)

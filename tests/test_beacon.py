@@ -7,6 +7,7 @@ hit-level path (``iter_hits``) realize the same probability model.
 import pytest
 
 from repro.cdn.beacon import BeaconConfig, BeaconGenerator
+from repro.datasets.beacon_dataset import BeaconDataset
 from repro.world.build import WorldParams, build_world
 
 
@@ -94,7 +95,10 @@ class TestHitLevelPath:
     def test_agrees_with_summarize_statistically(self, small_world):
         config = BeaconConfig(demand_hits=150_000, base_hits=20)
         summarized = BeaconGenerator(small_world, config).summarize()
-        from_hits = BeaconGenerator(small_world, config).dataset_from_hits()
+        generator = BeaconGenerator(small_world, config)
+        from_hits = BeaconDataset.from_hits(
+            config.month, generator.iter_hits()
+        )
         # Same volume model, independent randomness: totals within 5%.
         assert from_hits.total_hits == pytest.approx(
             summarized.total_hits, rel=0.05

@@ -1,16 +1,23 @@
-"""Chaos runner report model + ``cellspot chaos`` CLI plumbing.
+"""Chaos runner report model, ``cellspot chaos`` CLI plumbing, and the
+smoke fault plan run end to end.
 
-The full drill matrix (world generation + pools + serve loops) runs in
-CI's ``chaos-smoke`` job via ``cellspot chaos``; here we pin the report
-semantics and the CLI's failure paths, which must stay cheap.
+The report-model and CLI-failure tests are cheap; the smoke-plan test
+runs the full drill matrix (world generation + pools + serve loops,
+about 10 s) as a real ``cellspot chaos`` process and checks its report.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.cli import main
 from repro.runtime.chaos import ChaosReport, DrillResult
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestReportModel:
@@ -73,3 +80,40 @@ class TestChaosCli:
         plan.write_text('{"faults": []}')
         assert main(["chaos", "--plan", str(plan)]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestSmokePlanDrill:
+    """``cellspot chaos --plan examples/fault_plans/smoke.toml``: every
+    layer heals, byte-identical where output exists, and the alert
+    and SLO checks hold."""
+
+    def test_smoke_plan_heals_every_layer(self, tmp_path):
+        report_path = tmp_path / "chaos_report.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "chaos",
+             "--plan", str(REPO / "examples" / "fault_plans" / "smoke.toml"),
+             "--report", str(report_path)],
+            capture_output=True, text=True, timeout=600, env=env,
+            cwd=tmp_path,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        report = json.loads(report_path.read_text())
+        assert report["ok"], report
+        assert not report["unmatched_faults"], report["unmatched_faults"]
+        drills = {d["drill"]: d for d in report["drills"]}
+        assert set(drills) == {"executor", "cache", "stream", "serve"}
+        for drill in drills.values():
+            assert drill["ok"] and drill["recovered"], drill
+            assert drill["injected"], drill  # every drill really fired
+        # Differential proof: healed layers are byte-identical.
+        for name in ("executor", "cache", "stream"):
+            assert drills[name]["identical"] is True, drills[name]
+        # The injected retry storm crossed the SLO rule and resolved.
+        assert report["retry_alert"]["fired"], report["retry_alert"]
+        assert report["retry_alert"]["resolved"], report["retry_alert"]
+        # Shedding kept the served requests inside the latency SLO.
+        assert report["p99_state"] == "ok", report["p99_state"]

@@ -3,7 +3,7 @@
 Seeded property suite over randomized record batches: every kernel
 and every domain operation must satisfy
 
-    kernels_np  ==  kernels_py  ==  per-row reference
+    kernels_np  ==  kernels_py  ==  row-wise oracle (tests/row_oracle.py)
 
 bit for bit -- mixed /24 and /48 keys, IPv4 and IPv6, duplicate keys,
 empty batches, single rows, counts at the int64 edge.  The
@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.columnar import ops, reference
+from repro.columnar import ops
 from repro.columnar.backend import (
     BACKEND_ENV,
     active_backend_name,
@@ -33,6 +34,7 @@ from repro.core.ratios import RatioRecord, RatioTable
 from repro.net.prefix import Prefix
 from repro.parallel.sharding import stable_shard_index
 from repro.parallel.views import DemandMap
+from tests import row_oracle as reference
 
 BOTH_BACKENDS = numpy_available()
 
@@ -113,9 +115,8 @@ def test_group_accumulate_matches_reference(array_backend, n, dup):
     rng = random.Random(200 + n)
     rows = make_beacon_rows(rng, n, dup)
     batch = BeaconBatch.from_rows(rows, array_backend)
-    for order in ("canonical", "first_seen"):
-        grouped = ops.group_accumulate_beacons(batch, order=order)
-        assert grouped.to_rows() == reference.accumulate_rows(rows, order=order)
+    grouped = ops.group_accumulate_beacons(batch)
+    assert grouped.to_rows() == reference.accumulate_rows(rows)
 
 
 @pytest.mark.skipif(not BOTH_BACKENDS, reason="needs numpy for the diff")
@@ -128,7 +129,7 @@ def test_numpy_python_bitwise_identical(n, dup):
     for backend in ("python", "numpy"):
         batch = BeaconBatch.from_rows(rows, backend)
         spot, partial = ops.spot_batch(batch, 2, 0.8)
-        grouped = ops.group_accumulate_beacons(batch, order="first_seen")
+        grouped = ops.group_accumulate_beacons(batch)
         results[backend] = (
             spot.batch.to_rows(),
             spot.label,
@@ -246,7 +247,7 @@ def test_counts_at_int64_boundary_promote_not_wrap(array_backend):
         (3, 4, 0x0A000100, 24, 2, "DE", 2 ** 31, 2 ** 31 - 1, 2 ** 31 - 2),
     ]
     batch = BeaconBatch.from_rows(rows, array_backend)
-    grouped = ops.group_accumulate_beacons(batch, order="canonical")
+    grouped = ops.group_accumulate_beacons(batch)
     assert grouped.to_rows() == reference.accumulate_rows(rows)
     merged = grouped.to_rows()
     assert merged[0][6] == 2 * near  # > int64 max, exact
@@ -324,6 +325,19 @@ def _table(rng, n, base=0):
     return records
 
 
+def _record_row(record):
+    subnet = record.subnet
+    return (subnet.family, subnet.value, subnet.length, record.asn,
+            record.country, record.hits, record.api_hits,
+            record.cellular_hits)
+
+
+def _merge_rows(tables):
+    """The tables' records as oracle rows, numbered in merge order."""
+    records = [record for table in tables for record in table]
+    return [(i,) + _record_row(r) for i, r in enumerate(records)]
+
+
 def test_ratio_table_merge_equals_rowwise(array_backend):
     rng = random.Random(70)
     shared = _table(rng, 12)
@@ -333,10 +347,11 @@ def test_ratio_table_merge_equals_rowwise(array_backend):
         RatioTable(_table(rng, 5)),
     ]
     # Overlapping subnets must agree on metadata to be mergeable.
-    assert RatioTable.merge(tables) == RatioTable.merge_rowwise(tables)
-    assert RatioTable.merge([]) == RatioTable.merge_rowwise([])
-    # Canonical output order, pinned.
     merged = RatioTable.merge(tables)
+    expected = reference.accumulate_rows(_merge_rows(tables), check_meta=True)
+    assert [_record_row(r) for r in merged] == [row[1:] for row in expected]
+    assert len(RatioTable.merge([])) == 0
+    # Canonical output order, pinned.
     keys = [
         (r.subnet.family, r.subnet.value, r.subnet.length) for r in merged
     ]
@@ -348,7 +363,7 @@ def test_ratio_table_merge_conflict_message_matches(array_backend):
     a = RatioTable([RatioRecord(prefix, 1, "US", 5, 1, 6)])
     b = RatioTable([RatioRecord(prefix, 2, "US", 5, 1, 6)])
     with pytest.raises(ValueError) as rowwise_err:
-        RatioTable.merge_rowwise([a, b])
+        reference.accumulate_rows(_merge_rows([a, b]), check_meta=True)
     with pytest.raises(ValueError) as columnar_err:
         RatioTable.merge([a, b])
     assert str(columnar_err.value) == str(rowwise_err.value)
@@ -358,13 +373,15 @@ def test_from_hits_equals_rowwise(array_backend, beacon_hits):
     from repro.datasets.beacon_dataset import BeaconDataset
 
     month = beacon_hits[0].month
-    # Tiny batch size forces many chunk folds over real generator hits.
-    columnar = BeaconDataset.from_hits(month, beacon_hits, batch_rows=997)
-    rowwise = BeaconDataset.from_hits_rowwise(month, beacon_hits)
-    assert list(columnar._by_subnet) == list(rowwise._by_subnet)
-    assert columnar._by_subnet == rowwise._by_subnet
-    assert columnar.browser_counts == rowwise.browser_counts
-    assert list(columnar.browser_counts) == list(rowwise.browser_counts)
+    dataset = BeaconDataset.from_hits(month, beacon_hits)
+    by_subnet, browsers = reference.fold_hits(beacon_hits)
+    folded = {
+        c.subnet: (c.asn, c.country, c.hits, c.api_hits, c.cellular_hits)
+        for c in dataset
+    }
+    assert list(folded) == list(by_subnet)
+    assert folded == by_subnet
+    assert list(dataset.browser_counts.items()) == list(browsers.items())
 
 
 def test_from_hits_rejects_foreign_months_and_bad_labels(array_backend):
@@ -381,6 +398,15 @@ def test_from_hits_rejects_foreign_months_and_bad_labels(array_backend):
     )
     with pytest.raises(ValueError, match="2017-02 in a 2017-01 collection"):
         BeaconDataset.from_hits("2017-01", [hit])
+    # A cellular label needs API data (BeaconHit refuses to build one,
+    # so a stand-in carries the impossible combination).
+    bad = SimpleNamespace(
+        month="2017-02", subnet=subnet, asn=1, country="US",
+        browser=Browser.CHROME_MOBILE, api_enabled=False,
+        is_cellular_labeled=True,
+    )
+    with pytest.raises(ValueError, match="cellular label without API data"):
+        BeaconDataset.from_hits("2017-02", [hit, bad])
 
 
 def test_demand_map_from_batch_equals_from_rows(array_backend):

@@ -4,6 +4,8 @@ import io
 
 import pytest
 
+from repro.cdn.logs import BeaconHit
+from repro.cdn.netinfo import ConnectionType
 from repro.datasets.beacon_dataset import BeaconDataset, SubnetBeaconCounts
 from repro.datasets.caida import ASClassificationDataset
 from repro.datasets.demand_dataset import (
@@ -74,6 +76,43 @@ class TestBeaconDataset:
         with pytest.raises(ValueError):
             dataset.observe_hit(Prefix.parse("10.0.0.0/24"), 1, "US",
                                 Browser.CHROME_MOBILE, False, True)
+
+    def test_observe_hit_refusal_leaves_no_trace(self):
+        dataset = BeaconDataset("2016-12")
+        with pytest.raises(ValueError, match="cellular label without API"):
+            dataset.observe_hit(Prefix.parse("10.0.0.0/24"), 1, "US",
+                                Browser.CHROME_MOBILE, False, True)
+        assert len(dataset) == 0 and dataset.browser_counts == {}
+
+    def test_from_hits_pins_first_seen_order_metadata_and_browsers(self):
+        def hit(subnet, asn, country, browser, conn=None):
+            prefix = Prefix.parse(subnet)
+            return BeaconHit(
+                month="2016-12", family=prefix.family,
+                address=prefix.nth_address(1), subnet=prefix, asn=asn,
+                country=country, browser=browser,
+                api_enabled=conn is not None, connection_type=conn,
+            )
+
+        cell, wifi = ConnectionType.CELLULAR, ConnectionType.WIFI
+        dataset = BeaconDataset.from_hits("2016-12", [
+            hit("10.0.1.0/24", 7, "DE", Browser.SAFARI_IOS),
+            hit("2001:db8::/48", 9, "JP", Browser.CHROME_MOBILE, cell),
+            hit("10.0.0.0/24", 8, "US", Browser.CHROME_MOBILE, wifi),
+            # Later metadata for a known subnet counts toward the first.
+            hit("10.0.1.0/24", 99, "FR", Browser.CHROME_DESKTOP, cell),
+        ])
+        assert [str(c.subnet) for c in dataset] == [
+            "10.0.1.0/24", "2001:db8::/48", "10.0.0.0/24",
+        ]
+        first = dataset.get(Prefix.parse("10.0.1.0/24"))
+        assert (first.asn, first.country) == (7, "DE")
+        assert (first.hits, first.api_hits, first.cellular_hits) == (2, 1, 1)
+        assert list(dataset.browser_counts.items()) == [
+            (Browser.SAFARI_IOS, (1, 0)),
+            (Browser.CHROME_MOBILE, (2, 2)),
+            (Browser.CHROME_DESKTOP, (1, 1)),
+        ]
 
     def test_hits_by_asn(self):
         dataset = BeaconDataset("2016-12")

@@ -20,7 +20,7 @@ from repro.obs.metrics import global_registry, reset_global_registry
 
 @dataclass
 class _Counts:
-    """Stands in for the stream layer's SubnetWindowCounts."""
+    """Stands in for the stream window's SubnetBeaconCounts."""
 
     api_hits: int
     cellular_hits: int

@@ -12,6 +12,11 @@ import json
 
 import pytest
 
+from repro.cdn.logs import BeaconHit
+from repro.cdn.netinfo import ConnectionType
+from repro.core.ratios import RatioTable
+from repro.datasets.beacon_dataset import BeaconDataset
+from repro.net.prefix import Prefix
 from repro.stream import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
@@ -19,6 +24,7 @@ from repro.stream import (
     WindowPolicy,
     skip_events,
 )
+from repro.world.population import Browser
 
 POLICY = WindowPolicy(window_events=4096, decay=1.0)
 
@@ -55,6 +61,39 @@ class TestIngestion:
             engine.ratio_table(min_api_hits=0)
 
 
+class TestFirstSeenMetadata:
+    """A subnet's metadata is pinned by its first event, as in the batch
+    dataset, wherever the window boundaries fall."""
+
+    @staticmethod
+    def _hits():
+        subnet = Prefix.parse("10.0.0.0/24")
+        return [
+            BeaconHit(
+                month="2017-01", family=4, address=subnet.nth_address(1),
+                subnet=subnet, asn=asn, country="DE",
+                browser=Browser.CHROME_MOBILE, api_enabled=True,
+                connection_type=conn,
+            )
+            for asn, conn in [(1, ConnectionType.CELLULAR)] * 10
+            + [(2, ConnectionType.WIFI), (1, ConnectionType.CELLULAR)]
+        ]
+
+    @pytest.mark.parametrize("window_events", [1, 2, 10])
+    def test_conflicting_metadata_keeps_the_first_like_batch(
+        self, window_events
+    ):
+        hits = self._hits()
+        batch = RatioTable.from_beacons(BeaconDataset.from_hits("2017-01", hits))
+        assert [r.asn for r in batch] == [1]
+        engine = StreamEngine(policy=WindowPolicy(window_events=window_events))
+        for hit in hits:
+            engine.ingest(hit)
+            engine.ratio_table()  # a mid-window read never raises
+            assert engine.hits_by_asn().keys() == {1}
+        assert engine.ratio_table() == batch
+
+
 class TestSnapshots:
     def test_round_trip_preserves_state(self, beacon_hits, tmp_path):
         engine = _drained(beacon_hits[:10_000])
@@ -85,6 +124,30 @@ class TestSnapshots:
         path = tmp_path / "snap.json"
         path.write_text(payload)
         with pytest.raises(SnapshotError):
+            StreamEngine.load_snapshot(path)
+
+    @pytest.mark.parametrize("section", ["aggregate", "window"])
+    def test_impossible_counts_are_refused(self, beacon_hits, tmp_path,
+                                           section):
+        engine = _drained(beacon_hits[:100], WindowPolicy(window_events=60))
+        raw = engine.to_snapshot()
+        # cellular 5 > API 2: a ratio of 2.5 must never be served.
+        raw["state"][section].append([4, 167772160, 24, 1, "DE", 3, 2, 5])
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SnapshotError, match="cellular <= api <= hits"):
+            StreamEngine.load_snapshot(path)
+
+    @pytest.mark.parametrize("section", ["aggregate", "window"])
+    def test_duplicate_subnet_rows_are_refused(self, beacon_hits, tmp_path,
+                                               section):
+        engine = _drained(beacon_hits[:100], WindowPolicy(window_events=60))
+        raw = engine.to_snapshot()
+        rows = raw["state"][section]
+        rows.append(list(rows[0]))
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SnapshotError, match="duplicate snapshot row"):
             StreamEngine.load_snapshot(path)
 
     def test_missing_file_raises(self, tmp_path):

@@ -2,7 +2,7 @@
 
 Window semantics are event-count-driven and deterministic; these
 tests pin the exact advance points, the decay algebra, canonical
-ordering, metadata pinning, and the snapshot round-trip.
+ordering, the window-close hook, and the snapshot round-trip.
 """
 
 from __future__ import annotations
@@ -10,43 +10,28 @@ from __future__ import annotations
 import pytest
 
 from repro.net.prefix import Prefix
-from repro.stream.windows import (
-    SubnetWindowCounts,
-    WindowedSubnetState,
-    WindowPolicy,
-)
+from repro.stream.windows import WindowedSubnetState, WindowPolicy
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
 P6 = Prefix.parse("2001:db8::/48")
 
 
-class TestSubnetWindowCounts:
+class TestObserve:
     def test_observe_counts_api_and_cellular(self):
-        counts = SubnetWindowCounts(asn=1, country="DE")
-        counts.observe(api_enabled=False, cellular_labeled=False)
-        counts.observe(api_enabled=True, cellular_labeled=False)
-        counts.observe(api_enabled=True, cellular_labeled=True)
+        state = WindowedSubnetState(WindowPolicy(window_events=100))
+        state.observe(P1, 1, "DE", api_enabled=False, cellular_labeled=False)
+        state.observe(P1, 1, "DE", api_enabled=True, cellular_labeled=False)
+        state.observe(P1, 1, "DE", api_enabled=True, cellular_labeled=True)
+        counts = dict(state.combined())[P1]
         assert (counts.hits, counts.api_hits, counts.cellular_hits) == (3, 2, 1)
 
     def test_cellular_without_api_is_rejected(self):
-        counts = SubnetWindowCounts(asn=1, country="DE")
+        state = WindowedSubnetState(WindowPolicy(window_events=100))
         with pytest.raises(ValueError, match="cellular label without API"):
-            counts.observe(api_enabled=False, cellular_labeled=True)
-
-    def test_add_requires_matching_metadata(self):
-        counts = SubnetWindowCounts(asn=1, country="DE", hits=2)
-        other = SubnetWindowCounts(asn=2, country="DE", hits=1)
-        with pytest.raises(ValueError, match="conflicting subnet metadata"):
-            counts.add(other)
-
-    def test_scaled_preserves_metadata(self):
-        counts = SubnetWindowCounts(
-            asn=9, country="US", hits=10, api_hits=4, cellular_hits=2
-        )
-        half = counts.scaled(0.5)
-        assert (half.asn, half.country) == (9, "US")
-        assert (half.hits, half.api_hits, half.cellular_hits) == (5, 2, 1)
+            state.observe(P1, 1, "DE", api_enabled=False,
+                          cellular_labeled=True)
+        assert state.window_fill == 0 and state.subnet_count() == 0
 
 
 class TestWindowPolicy:
@@ -93,6 +78,27 @@ class TestWindowAdvancement:
         state.observe(P1, 1, "DE", api_enabled=True, cellular_labeled=False)
         rows = dict(state.combined())
         assert rows[P1].hits == pytest.approx(0.25 + 0.5 + 1.0)
+
+    def test_decay_preserves_metadata(self):
+        state = WindowedSubnetState(WindowPolicy(window_events=1, decay=0.5))
+        for _ in range(2):
+            state.observe(P1, 9, "US", api_enabled=True, cellular_labeled=True)
+        counts = dict(state.combined())[P1]
+        assert (counts.asn, counts.country) == (9, "US")
+        assert (counts.hits, counts.api_hits, counts.cellular_hits) == (
+            1.5, 1.5, 1.5
+        )
+
+    def test_on_advance_sees_raw_window_in_first_seen_order(self):
+        state = WindowedSubnetState(WindowPolicy(window_events=3, decay=0.5))
+        seen = []
+        state.on_advance = lambda seq, window: seen.append(
+            (seq, [(s, c.hits) for s, c in window.items()])
+        )
+        for prefix in (P6, P1, P6, P2, P2, P2):
+            state.observe(prefix, 1, "DE", api_enabled=False,
+                          cellular_labeled=False)
+        assert seen == [(1, [(P6, 2), (P1, 1)]), (2, [(P2, 3)])]
 
     def test_combined_merges_open_window_with_aggregate(self):
         state = WindowedSubnetState(WindowPolicy(window_events=2))
