@@ -19,8 +19,10 @@ overhead.  The pin is intentionally looser than the observed ratio
 (~1.00-1.01 on the dev box) but tight enough that a per-event lock
 round-trip (the design this layer explicitly avoids) would fail it.
 
-cProfile (``--profile``) is *not* covered by this budget: deterministic
-profiling costs 1.3-2x and is opt-in for exactly that reason.
+Profilers are *not* covered by this budget.  The stack sampler
+(``--prof-sample``) has its own pin in ``bench_resource_obs.py``;
+deterministic profiling (``python -m cProfile -m repro.cli ...``, no
+repo code) costs 1.3-2x and is run by hand for exactly that reason.
 """
 
 from __future__ import annotations

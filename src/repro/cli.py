@@ -156,47 +156,23 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
              "JSON (chrome://tracing, Perfetto)",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="wrap the run in cProfile and write a top-N cumulative "
-             "report (see --profile-out)",
-    )
-    parser.add_argument(
-        "--profile-out", default=None, metavar="FILE",
-        help="profile report path (default: the --checkpoint dir when "
-             "one is given, else next to --metrics-out, else "
-             "./profile.txt)",
-    )
-    parser.add_argument(
         "--prof-sample", action="store_true",
         help="run the wall-clock sampling profiler (~100Hz stack "
              "sampler, <5%% overhead) and write flamegraph collapsed "
-             "stacks + a Chrome trace; mutually exclusive with "
-             "--profile (cProfile wins the arbitration slot)",
+             "stacks + a Chrome trace",
     )
     parser.add_argument(
         "--prof-sample-out", default=None, metavar="FILE",
         help="collapsed-stack output path (a sibling FILE.trace.json "
-             "Chrome trace is written too; default mirrors "
-             "--profile-out with profile.collapsed)",
+             "Chrome trace is written too; default: profile.collapsed "
+             "in the --checkpoint dir when one is given, else next to "
+             "--metrics-out, else in the working directory)",
     )
     parser.add_argument(
         "--prof-sample-interval", type=_positive_float, default=0.01,
         metavar="SECONDS",
         help="seconds between stack samples (default: 0.01 = 100Hz)",
     )
-
-
-def _profile_out(args: argparse.Namespace) -> Path:
-    """Resolve where the ``--profile`` report should land."""
-    if getattr(args, "profile_out", None):
-        return Path(args.profile_out)
-    checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint:
-        return Path(checkpoint) / "profile.txt"
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        return Path(metrics_out).with_name("profile.txt")
-    return Path("profile.txt")
 
 
 def _prof_sample_out(args: argparse.Namespace) -> Path:
@@ -955,185 +931,47 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _format_metric_value(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if value == float("inf"):
-            return "inf"
-        return f"{value:.6g}"
-    return f"{value:,}"
+def _render_resource_panel(sample: dict, path: Path) -> str:
+    """The ``cellspot stats --resources`` section, or '' when absent.
 
-
-def _stats_metrics_rows(path: Path):
-    """Rows for the metrics table from a .json or Prometheus dump.
-
-    Raises ``ValueError`` (including
-    :class:`repro.obs.metrics.PrometheusFormatError`) on files that do
-    not parse -- the caller maps that to exit code 2.
+    Reads the same sample as the metrics table, through the dashboard's
+    health step, so the panel, the table and ``top`` cannot disagree.
     """
-    import json as json_module
-
-    from repro.obs.metrics import parse_prometheus_text
-
-    text = path.read_text()
-    rows = []
-    if path.suffix == ".json":
-        raw = json_module.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("metrics JSON is not an object")
-        for name in sorted(raw):
-            payload = raw[name]
-            if not isinstance(payload, dict):
-                if name == "_uptime_s":  # keep parity with prom export
-                    rows.append([
-                        "process_uptime_seconds", "gauge",
-                        _format_metric_value(float(payload)), "",
-                    ])
-                continue
-            kind = payload.get("type", "?")
-            if kind == "histogram":
-                detail = (
-                    f"mean={_format_metric_value(payload.get('mean'))} "
-                    f"p50={_format_metric_value(payload.get('p50'))} "
-                    f"p99={_format_metric_value(payload.get('p99'))}"
-                )
-                value = payload.get("count", 0)
-            else:
-                detail = ""
-                value = payload.get("value", 0)
-            rows.append(
-                [name, kind, _format_metric_value(value), detail]
-            )
-        return rows
-    parsed = parse_prometheus_text(text)
-    for name in sorted(parsed):
-        payload = parsed[name]
-        kind = payload["type"]
-        # Samples are (sample_name, labels, value) triples.
-        by_name = {
-            sample_name: value
-            for sample_name, _labels, value in payload["samples"]
-        }
-        if kind == "histogram":
-            count = by_name.get(f"{name}_count", 0)
-            total = by_name.get(f"{name}_sum", 0.0)
-            mean = total / count if count else 0.0
-            value = count
-            detail = f"mean={_format_metric_value(mean)}"
-        else:
-            value = payload["samples"][0][2]
-            detail = ""
-        rows.append([name, kind, _format_metric_value(value), detail])
-    return rows
-
-
-def _format_bytes(value) -> str:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        return "-"
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return (f"{value:.0f}{unit}" if unit == "B"
-                    else f"{value:.1f}{unit}")
-        value /= 1024.0
-    return f"{value:.1f}GiB"
-
-
-def _resource_snapshot(path: Path):
-    """``(scalars, gc_by_gen, stage_watermarks)`` from a metrics dump.
-
-    Reads the *same* snapshot file as the metrics table, so the
-    resource panel and the table can never disagree.  Returns plain
-    dicts; all three are empty when the dump carries no resource
-    metrics (e.g. a run without telemetry).
-    """
-    import json as json_module
-
-    from repro.obs.metrics import parse_prometheus_text
+    from repro.analysis.report import render_table
+    from repro.obs.dashboard import format_bytes, health_from_sample
     from repro.obs.timeseries import split_metric_tag
 
-    scalar_names = (
-        "process_rss_bytes", "process_rss_peak_bytes",
-        "process_cpu_percent", "process_open_fds", "process_threads",
-    )
-    scalars: Dict[str, float] = {}
-    gc_by_gen: Dict[str, float] = {}
-    watermarks: Dict[str, float] = {}
-    text = path.read_text()
-    if path.suffix == ".json":
-        raw = json_module.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("metrics JSON is not an object")
-        for name in scalar_names:
-            payload = raw.get(name)
-            if isinstance(payload, dict) and "value" in payload:
-                scalars[name] = payload["value"]
-        for name, target in (
-            ("process_gc_collections", gc_by_gen),
-            ("rss_peak_bytes", watermarks),
-        ):
-            payload = raw.get(name)
-            if isinstance(payload, dict) and isinstance(
-                payload.get("values"), dict
-            ):
-                target.update(payload["values"])
-        return scalars, gc_by_gen, watermarks
-    parsed = parse_prometheus_text(text)
-    for name in scalar_names:
-        payload = parsed.get(name)
-        if payload and payload["samples"]:
-            scalars[name] = payload["samples"][0][2]
-    for name, target in (
-        ("process_gc_collections", gc_by_gen),
-        ("rss_peak_bytes", watermarks),
-    ):
-        payload = parsed.get(name)
-        if not payload:
-            continue
-        for _sample_name, labels, value in payload["samples"]:
-            # ``labels`` is the raw label string ('stage="x"').
-            parsed_labels = split_metric_tag(f"_{{{labels}}}")[1]
-            for key in parsed_labels.values():
-                if key:  # skip the empty-family placeholder
-                    target[key] = value
-    return scalars, gc_by_gen, watermarks
-
-
-def _render_resource_panel(path: Path) -> str:
-    """The ``cellspot stats --resources`` section, or '' when absent."""
-    from repro.analysis.report import render_table
-
-    scalars, gc_by_gen, watermarks = _resource_snapshot(path)
-    if not scalars and not gc_by_gen and not watermarks:
+    resources = health_from_sample(sample, str(path))["resources"]
+    gc_by_gen = {}
+    for key, payload in sample["m"].items():
+        base, labels = split_metric_tag(key)
+        if base == "process_gc_collections" and labels:
+            gc_by_gen[next(iter(labels.values()))] = payload[1]
+    if not resources and not gc_by_gen:
         return ""
-    rows = []
-    if "process_rss_bytes" in scalars:
-        rows.append(["rss current",
-                     _format_bytes(scalars["process_rss_bytes"])])
-    if "process_rss_peak_bytes" in scalars:
-        rows.append(["rss peak",
-                     _format_bytes(scalars["process_rss_peak_bytes"])])
-    if "process_cpu_percent" in scalars:
-        rows.append(["cpu", f"{scalars['process_cpu_percent']:.1f}%"])
-    if "process_open_fds" in scalars:
-        rows.append(["open fds", f"{scalars['process_open_fds']:.0f}"])
-    if "process_threads" in scalars:
-        rows.append(["threads", f"{scalars['process_threads']:.0f}"])
+    rows = [
+        [label, render(resources[key])]
+        for key, label, render in (
+            ("rss_bytes", "rss current", format_bytes),
+            ("rss_peak_bytes", "rss peak", format_bytes),
+            ("cpu_percent", "cpu", "{:.1f}%".format),
+            ("open_fds", "open fds", "{:.0f}".format),
+            ("threads", "threads", "{:.0f}".format),
+        )
+        if key in resources
+    ]
     for gen in sorted(gc_by_gen):
         rows.append([f"gc gen{gen} collections",
                      f"{gc_by_gen[gen]:.0f}"])
     parts = [render_table(
         ["resource", "value"], rows, title=f"resources ({path})",
     )]
-    if watermarks:
-        top = sorted(
-            watermarks.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:5]
+    stages = resources.get("stages")
+    if stages:
         parts.append(render_table(
             ["stage", "rss peak"],
-            [[stage, _format_bytes(peak)] for stage, peak in top],
+            [[row["stage"], format_bytes(row["rss_peak_bytes"])]
+             for row in stages[:5]],
             title="top stages by peak-RSS watermark",
         ))
     return "\n\n".join(parts)
@@ -1159,12 +997,28 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.metrics:
+        from repro.obs.dashboard import format_value
+        from repro.obs.timeseries import load_metrics_dump
+
         path = Path(args.metrics)
         try:
-            rows = _stats_metrics_rows(path)
+            sample = load_metrics_dump(path)
         except (OSError, ValueError) as exc:
             print(f"error: metrics {path}: {exc}", file=sys.stderr)
             return 2
+        rows = []
+        for key, payload in sorted(sample["m"].items()):
+            if payload[0] == "h":
+                count, total, p50, p99 = payload[1:5]
+                mean = total / count if count else 0.0
+                rows.append([
+                    key, "histogram", format_value(count, 6),
+                    f"mean={format_value(mean, 6)} "
+                    f"p50={format_value(p50, 6)} p99={format_value(p99, 6)}",
+                ])
+            else:
+                kind = "counter" if payload[0] == "c" else "gauge"
+                rows.append([key, kind, format_value(payload[1], 6), ""])
         if not rows:
             print(f"error: metrics {path}: no metrics found",
                   file=sys.stderr)
@@ -1175,7 +1029,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ))
         print()
         if args.resources:
-            panel = _render_resource_panel(path)
+            panel = _render_resource_panel(sample, path)
             if panel:
                 print(panel)
             else:
@@ -1381,29 +1235,28 @@ def _fetch_health(args: argparse.Namespace):
     from repro.obs import dashboard
 
     if getattr(args, "socket", None):
-        def fetch():
-            try:
-                return dashboard.query_socket(
-                    args.socket, "health", timeout=args.timeout
-                )
-            except (OSError, ValueError):
-                return None
-        return fetch, True
-    if getattr(args, "timeseries_dir", None):
-        def fetch():
-            try:
-                return dashboard.health_from_timeseries(args.timeseries_dir)
-            except (OSError, ValueError):
-                return None
-        return fetch, True
-    if getattr(args, "metrics", None):
-        def fetch():
-            try:
-                return dashboard.health_from_metrics_dump(args.metrics)
-            except (OSError, ValueError):
-                return None
-        return fetch, False
-    return None, False
+        def source():
+            return dashboard.query_socket(
+                args.socket, "health", timeout=args.timeout
+            )
+        live = True
+    elif getattr(args, "timeseries_dir", None):
+        def source():
+            return dashboard.health_from_timeseries(args.timeseries_dir)
+        live = True
+    elif getattr(args, "metrics", None):
+        def source():
+            return dashboard.health_from_metrics_dump(args.metrics)
+        live = False
+    else:
+        return None, False
+
+    def fetch():
+        try:
+            return source()
+        except (OSError, ValueError):
+            return None
+    return fetch, live
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -2250,14 +2103,11 @@ def main(argv=None) -> int:
         set_run_id()
     from repro.obs import observed_command
 
-    profile = bool(getattr(args, "profile", False))
     prof_sample = bool(getattr(args, "prof_sample", False))
     with observed_command(
         args.command,
         metrics_out=getattr(args, "metrics_out", None),
         trace_out=getattr(args, "trace_out", None),
-        profile=profile,
-        profile_out=_profile_out(args) if profile else None,
         prof_sample=prof_sample,
         prof_sample_out=_prof_sample_out(args) if prof_sample else None,
         prof_sample_interval_s=getattr(args, "prof_sample_interval", 0.01),

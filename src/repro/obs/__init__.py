@@ -10,14 +10,21 @@ front end all record into one telemetry spine:
 - :mod:`repro.obs.trace` -- run-scoped span tracing (context manager +
   decorator), Chrome ``trace_event`` export, trace/span ids injected
   into structured log records;
-- :mod:`repro.obs.profile` -- opt-in ``cProfile`` wrapping with
-  atomic top-N reports.
+- :mod:`repro.obs.sampler` -- the opt-in wall-clock sampling profiler
+  (collapsed stacks + a Chrome trace joined to the run's trace id);
+- :mod:`repro.obs.timeseries` -- scrape samples, their on-disk ring,
+  and :func:`~repro.obs.timeseries.load_metrics_dump`, the one reader
+  that decodes a ``--metrics-out`` dump (JSON or Prometheus text)
+  into the same sample shape for ``stats``, ``top`` and
+  ``report --health``.
 
 :func:`observed_command` is the CLI chokepoint: every ``cellspot``
 subcommand runs inside it, which gives any command ``--metrics-out``
 (Prometheus text or JSON by extension), ``--trace-out`` (Chrome
-trace), ``--profile``, and a ``SIGUSR1`` handler that dumps both files
-atomically mid-run.
+trace), ``--prof-sample``, and a ``SIGUSR1`` handler that dumps both
+files atomically mid-run.  Deterministic call counts need no repo
+code: run the CLI under the standard library's deterministic profiler
+(see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -80,14 +87,6 @@ from repro.obs.postmortem import (
     render_text as render_postmortem_text,
     to_chrome_trace as postmortem_chrome_trace,
 )
-from repro.obs.profile import (
-    acquire_profiler,
-    active_profiler,
-    maybe_profile,
-    release_profiler,
-    write_profile_report,
-    write_report_text,
-)
 from repro.obs.resources import (
     LeakDrill,
     ResourceSampler,
@@ -103,6 +102,7 @@ from repro.obs.timeseries import (
     MetricScraper,
     TimeSeriesReader,
     TimeSeriesStore,
+    load_metrics_dump,
     read_latest_sample,
     scrape_registry,
     split_metric_tag,
@@ -202,8 +202,6 @@ def observed_command(
     command: str,
     metrics_out: Optional[Union[str, Path]] = None,
     trace_out: Optional[Union[str, Path]] = None,
-    profile: bool = False,
-    profile_out: Optional[Union[str, Path]] = None,
     prof_sample: bool = False,
     prof_sample_out: Optional[Union[str, Path]] = None,
     prof_sample_interval_s: float = 0.01,
@@ -217,11 +215,8 @@ def observed_command(
       ``trace_id``;
     - installs a ``SIGUSR1`` handler that atomically dumps the
       requested telemetry files mid-run (restored on exit);
-    - optionally wraps the body in :func:`~repro.obs.profile.maybe_profile`
-      (``--profile``) or runs the wall-clock sampling profiler
-      (``--prof-sample``) -- the two arbitrate through one shared
-      guard, so passing both flags runs exactly one of them (cProfile
-      wins, the sampler logs the conflict);
+    - optionally runs the wall-clock sampling profiler
+      (``--prof-sample``, :class:`~repro.obs.sampler.SamplingProfiler`);
     - on exit -- success *or* failure -- writes ``metrics_out`` /
       ``trace_out`` (and the sampler's collapsed stacks + Chrome
       trace) atomically.
@@ -237,15 +232,11 @@ def observed_command(
     run = ObservedRun(registry=registry, tracer=tracer)
     stack_sampler = None
     try:
-        with maybe_profile(profile, profile_out):
-            if prof_sample:
-                stack_sampler = SamplingProfiler(
-                    interval_s=prof_sample_interval_s
-                )
-                if not stack_sampler.start():
-                    stack_sampler = None  # cProfile holds the slot
-            with tracer.span(f"cellspot.{command}", command=command):
-                yield run
+        if prof_sample:
+            stack_sampler = SamplingProfiler(interval_s=prof_sample_interval_s)
+            stack_sampler.start()
+        with tracer.span(f"cellspot.{command}", command=command):
+            yield run
     finally:
         if stack_sampler is not None:
             stack_sampler.stop()
@@ -303,8 +294,6 @@ __all__ = [
     "TimeSeriesReader",
     "TimeSeriesStore",
     "Tracer",
-    "acquire_profiler",
-    "active_profiler",
     "add_span_exit_hook",
     "build_postmortem",
     "count_open_fds",
@@ -318,8 +307,8 @@ __all__ = [
     "global_registry",
     "instrument",
     "ks_statistic",
+    "load_metrics_dump",
     "load_rules",
-    "maybe_profile",
     "metrics_enabled",
     "observed_command",
     "parse_prometheus_text",
@@ -332,7 +321,6 @@ __all__ = [
     "read_span_log",
     "read_statm",
     "read_status",
-    "release_profiler",
     "remove_span_exit_hook",
     "render_dashboard",
     "render_health_report",
@@ -350,6 +338,4 @@ __all__ = [
     "total_memory_bytes",
     "traced",
     "validate_bounds",
-    "write_profile_report",
-    "write_report_text",
 ]

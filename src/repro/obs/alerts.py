@@ -428,22 +428,11 @@ class AlertState:
 def _labelled_values(rule: AlertRule, metrics: Dict) -> List[float]:
     """Scalars for every ``metric{...}`` series in one sample."""
     prefix = rule.metric + "{"
-    values: List[float] = []
-    for key, payload in metrics.items():
-        if not key.startswith(prefix):
-            continue
-        try:
-            if payload[0] == "h":
-                value = payload[3] if rule.q == 0.5 else payload[4]
-            elif payload[0] in ("c", "g"):
-                value = payload[1]
-            else:
-                continue
-        except (TypeError, IndexError):
-            continue
-        if value is not None:
-            values.append(float(value))
-    return values
+    values = [
+        _payload_scalar(payload, rule.q)
+        for key, payload in metrics.items() if key.startswith(prefix)
+    ]
+    return [value for value in values if value is not None]
 
 
 def _series_keys(rule: AlertRule, metrics: Dict) -> List[str]:
@@ -452,6 +441,24 @@ def _series_keys(rule: AlertRule, metrics: Dict) -> List[str]:
     prefix = rule.metric + "{"
     keys.extend(sorted(k for k in metrics if k.startswith(prefix)))
     return keys
+
+
+def _payload_scalar(payload, q: Optional[float] = None) -> Optional[float]:
+    """One tagged-array payload as a float; None when it has none.
+
+    Counters and gauges give their value; a histogram gives its p50 or
+    p99 when ``q`` names one, else None.  Malformed payloads give None.
+    """
+    try:
+        if payload[0] in ("c", "g"):
+            value = payload[1]
+        elif payload[0] == "h" and q is not None:
+            value = payload[3] if q == 0.5 else payload[4]
+        else:
+            return None
+        return None if value is None else float(value)
+    except (TypeError, IndexError, ValueError):
+        return None
 
 
 def _slope(points: List) -> Optional[float]:
@@ -486,12 +493,8 @@ def _growth_value(
     metrics = sample.get("m", {})
     worst: Optional[float] = None
     for key in _series_keys(rule, metrics):
-        payload = metrics[key]
-        try:
-            if payload[0] not in ("g", "c"):
-                continue
-            value = float(payload[1])
-        except (TypeError, IndexError, ValueError):
+        value = _payload_scalar(metrics[key])
+        if value is None:
             continue
         points = state.history.setdefault(key, [])
         if points and value < points[-1][1]:
@@ -514,14 +517,12 @@ def _sample_value(rule: AlertRule, sample: Dict, previous: Optional[Dict]):
     """Evaluate one rule against one scraped sample (None = no data)."""
     metrics = sample.get("m", {})
     if rule.kind == "memory_budget":
-        values = []
-        for key in _series_keys(rule, metrics):
-            payload = metrics[key]
-            try:
-                if payload[0] in ("g", "c"):
-                    values.append(float(payload[1]))
-            except (TypeError, IndexError, ValueError):
-                continue
+        values = [
+            value for value in (
+                _payload_scalar(metrics[key])
+                for key in _series_keys(rule, metrics)
+            ) if value is not None
+        ]
         return max(values) if values else None
     if rule.kind == "skew":
         values = sorted(_labelled_values(rule, metrics))

@@ -12,7 +12,9 @@ Three data sources, in preference order:
    over AF_UNIX) -- live repaint mode;
 2. a time-series directory (``--timeseries-dir``) -- single-shot
    reconstruction from the latest scrape;
-3. a ``--metrics-out`` dump file -- single-shot.
+3. a ``--metrics-out`` dump file -- single-shot, decoded by
+   :func:`repro.obs.timeseries.load_metrics_dump` into the same sample
+   shape as a scrape, so both render through :func:`health_from_sample`.
 
 :func:`render_health_report` is the static twin: the same rollup as
 markdown (or minimal HTML) for ``cellspot report --health``.
@@ -47,7 +49,8 @@ def sparkline(values: List[float], width: int = 24) -> str:
     )
 
 
-def _fmt(value, digits: int = 4) -> str:
+def format_value(value, digits: int = 4) -> str:
+    """``digits`` significant digits for floats, ``1,234`` for ints."""
     if value is None:
         return "-"
     if isinstance(value, float):
@@ -59,9 +62,8 @@ def _fmt(value, digits: int = 4) -> str:
     return str(value)
 
 
-def _fmt_bytes(value) -> str:
-    if value is None:
-        return "-"
+def format_bytes(value) -> str:
+    """``123.4MiB``-style size; ``-`` for a missing or non-numeric value."""
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -87,12 +89,11 @@ def _resources_from_values(values: Dict[str, float]) -> Dict:
         "open_fds": "process_open_fds",
         "threads": "process_threads",
     }
-    resources = {
+    return {
         key: values[name]
         for key, name in mapping.items()
         if values.get(name) is not None
     }
-    return resources
 
 
 def _panel(title: str, rows: List[str], width: int) -> List[str]:
@@ -123,42 +124,42 @@ def render_dashboard(health: Dict, width: int = 78) -> str:
 
     engine_rows = [
         f"month {engine.get('month') or '-'}   "
-        f"events {_fmt(engine.get('events_consumed', 0))}   "
-        f"windows {_fmt(engine.get('windows_advanced', 0))}",
-        f"subnets {_fmt(engine.get('subnets', 0))}   "
-        f"window fill {_fmt(engine.get('window_fill', 0))}   "
-        f"index entries {_fmt(health.get('index_entries', 0))}",
-        f"ingest {_fmt(rates.get('events_per_s'))} ev/s   "
-        f"queries {_fmt(rates.get('queries_per_s'))} q/s   "
-        f"p99 {_fmt(rates.get('query_p99_s'))} s",
+        f"events {format_value(engine.get('events_consumed', 0))}   "
+        f"windows {format_value(engine.get('windows_advanced', 0))}",
+        f"subnets {format_value(engine.get('subnets', 0))}   "
+        f"window fill {format_value(engine.get('window_fill', 0))}   "
+        f"index entries {format_value(health.get('index_entries', 0))}",
+        f"ingest {format_value(rates.get('events_per_s'))} ev/s   "
+        f"queries {format_value(rates.get('queries_per_s'))} q/s   "
+        f"p99 {format_value(rates.get('query_p99_s'))} s",
     ]
     lines += _panel("engine", engine_rows, width)
 
     last = drift.get("last") or {}
     drift_rows = [
-        f"psi {_fmt(last.get('psi'))}   ks {_fmt(last.get('ks'))}   "
-        f"churn {_fmt(last.get('churn_rate'))}   "
-        f"scored {_fmt(drift.get('windows_scored', 0))} windows",
+        f"psi {format_value(last.get('psi'))}   ks {format_value(last.get('ks'))}   "
+        f"churn {format_value(last.get('churn_rate'))}   "
+        f"scored {format_value(drift.get('windows_scored', 0))} windows",
         f"psi trend {sparkline(drift.get('recent_psi') or [])}",
-        f"baseline: {_fmt(drift.get('baseline_windows', 0))} windows, "
-        f"{_fmt(drift.get('baseline_subnets', 0))} subnets",
+        f"baseline: {format_value(drift.get('baseline_windows', 0))} windows, "
+        f"{format_value(drift.get('baseline_subnets', 0))} subnets",
     ]
     lines += _panel("census drift", drift_rows, width)
 
     resources = health.get("resources") or {}
     if resources:
         resource_rows = [
-            f"rss {_fmt_bytes(resources.get('rss_bytes'))}   "
-            f"peak {_fmt_bytes(resources.get('rss_peak_bytes'))}   "
-            f"cpu {_fmt(resources.get('cpu_percent'))}%   "
-            f"fds {_fmt(resources.get('open_fds'))}   "
-            f"threads {_fmt(resources.get('threads'))}",
+            f"rss {format_bytes(resources.get('rss_bytes'))}   "
+            f"peak {format_bytes(resources.get('rss_peak_bytes'))}   "
+            f"cpu {format_value(resources.get('cpu_percent'))}%   "
+            f"fds {format_value(resources.get('open_fds'))}   "
+            f"threads {format_value(resources.get('threads'))}",
         ]
         stages = resources.get("stages") or []
         for stage_row in stages[:3]:
             resource_rows.append(
                 f"stage {str(stage_row.get('stage', '?'))[:40]:40s} "
-                f"peak {_fmt_bytes(stage_row.get('rss_peak_bytes'))}"
+                f"peak {format_bytes(stage_row.get('rss_peak_bytes'))}"
             )
         lines += _panel("resources", resource_rows, width)
 
@@ -168,10 +169,10 @@ def render_dashboard(health: Dict, width: int = 78) -> str:
         for row in workers:
             worker_rows.append(
                 f"worker {str(row.get('worker', '?')):>3s}   "
-                f"gen {_fmt(row.get('generation'))}   "
-                f"queries {_fmt(row.get('queries'))}   "
-                f"p99 {_fmt(row.get('p99_s'))} s   "
-                f"rss {_fmt_bytes(row.get('rss_bytes'))}"
+                f"gen {format_value(row.get('generation'))}   "
+                f"queries {format_value(row.get('queries'))}   "
+                f"p99 {format_value(row.get('p99_s'))} s   "
+                f"rss {format_bytes(row.get('rss_bytes'))}"
             )
         lines += _panel("workers", worker_rows, width)
 
@@ -187,7 +188,7 @@ def render_dashboard(health: Dict, width: int = 78) -> str:
                 f"{glyph} {state.get('state', '?'):7s} "
                 f"{state.get('rule', '?'):24s} "
                 f"{state.get('condition', '')}  "
-                f"[{_fmt(state.get('value'))}]"
+                f"[{format_value(state.get('value'))}]"
             )
     else:
         alert_rows = ["(no alert rules loaded)"]
@@ -221,84 +222,59 @@ def query_socket(socket_path: Union[str, Path], op: str, timeout: float = 2.0) -
 
 
 def health_from_metrics_dump(path: Union[str, Path]) -> Dict:
-    """A best-effort health payload from a --metrics-out dump file."""
-    from repro.obs.metrics import parse_prometheus_text
+    """A health payload from a --metrics-out dump (JSON or Prometheus)."""
+    from repro.obs.timeseries import load_metrics_dump
 
-    path = Path(path)
-    text = path.read_text()
-    values: Dict[str, float] = {}
-    stages: Dict[str, float] = {}
-    if path.suffix == ".json":
-        raw = json.loads(text)
-        for name, payload in raw.items():
-            if isinstance(payload, dict) and "value" in payload:
-                values[name] = payload["value"]
-            elif isinstance(payload, dict) and payload.get("type") == "histogram":
-                values[f"{name}_p99"] = payload.get("p99") or 0.0
-            elif (
-                isinstance(payload, dict)
-                and payload.get("type") == "labeled_gauge"
-                and name == "rss_peak_bytes"
-            ):
-                stages.update(payload.get("values") or {})
-    else:
-        from repro.obs.timeseries import split_metric_tag
-
-        for name, payload in parse_prometheus_text(text).items():
-            for sample_name, labels, value in payload["samples"]:
-                # ``labels`` is the raw label string ('stage="x"').
-                if name == "rss_peak_bytes" and labels:
-                    stage = split_metric_tag(
-                        f"_{{{labels}}}"
-                    )[1].get("stage")
-                    if stage:
-                        stages[stage] = value
-                elif not labels:
-                    values[sample_name] = value
-    health = _health_from_values(values, source=str(path))
-    if stages:
-        health.setdefault("resources", {})["stages"] = [
-            {"stage": stage, "rss_peak_bytes": peak}
-            for stage, peak in sorted(
-                stages.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-        ]
-    return health
+    return health_from_sample(load_metrics_dump(path), source=str(path))
 
 
 def health_from_timeseries(directory: Union[str, Path]) -> Dict:
-    """A health payload from the latest scrape in a time-series dir."""
-    from repro.obs.timeseries import TimeSeriesReader
+    """A health payload from the latest scrape in a time-series dir.
 
-    reader = TimeSeriesReader(directory)
-    latest: Optional[Dict] = None
-    for sample in reader.samples():
-        latest = sample
+    The newest sample comes from the tail of the newest segment; the
+    ingest and query rates from one pass over the stored counter
+    deltas, not lifetime averages.
+    """
+    from repro.obs.timeseries import TimeSeriesReader, read_latest_sample
+
+    latest = read_latest_sample(directory)
     if latest is None:
         raise OSError(f"no samples under {directory}")
+    health = health_from_sample(latest, source=str(directory))
+    rates = TimeSeriesReader(directory).rates(
+        ("stream_events_total", "queries_total")
+    )
+    for name, key in (
+        ("stream_events_total", "events_per_s"),
+        ("queries_total", "queries_per_s"),
+    ):
+        if rates[name]:
+            health["rates"][key] = rates[name][-1][1]
+    return health
+
+
+def health_from_sample(sample: Dict, source: str) -> Dict:
+    """A health payload from one tagged-array scrape sample.
+
+    Serves both a time-series scrape and a decoded ``--metrics-out``
+    dump (:func:`repro.obs.timeseries.load_metrics_dump`).
+    """
+    from repro.obs.timeseries import split_metric_tag
+
+    metrics = sample.get("m", {})
     values: Dict[str, float] = {}
-    for name, payload in latest.get("m", {}).items():
+    for name, payload in metrics.items():
         if payload[0] in ("c", "g"):
             values[name] = payload[1]
         elif payload[0] == "h":
             values[f"{name}_p99"] = payload[4] or 0.0
-    health = _health_from_values(values, source=str(directory))
-    health["ts"] = latest.get("ts")
-    # Rates come from the stored counter deltas, not lifetime averages.
-    ingest = reader.rate("stream_events_total")
-    if ingest:
-        health["rates"]["events_per_s"] = ingest[-1][1]
-    queries = reader.rate("queries_total")
-    if queries:
-        health["rates"]["queries_per_s"] = queries[-1][1]
+    health = _health_from_values(values, source, sample.get("ts"))
     # Federated per-worker series (serving plane): tagged keys like
     # scale_worker_query_latency_seconds{worker="0"} become one
     # dashboard row per worker.
-    from repro.obs.timeseries import split_metric_tag
-
     workers: Dict[str, Dict] = {}
     stages: Dict[str, float] = {}
-    for name, payload in latest.get("m", {}).items():
+    for name, payload in metrics.items():
         if "{" not in name:
             continue
         base, labels = split_metric_tag(name)
@@ -336,11 +312,13 @@ def health_from_timeseries(directory: Union[str, Path]) -> Dict:
     return health
 
 
-def _health_from_values(values: Dict[str, float], source: str) -> Dict:
+def _health_from_values(
+    values: Dict[str, float], source: str, ts: Optional[float]
+) -> Dict:
     return {
         "ok": True,
         "source": source,
-        "ts": time.time(),
+        "ts": ts,
         "engine": {
             "month": None,
             "events_consumed": int(
@@ -456,16 +434,16 @@ def render_health_report(
         "",
         "## engine",
         "",
-        f"- events consumed: {_fmt(engine.get('events_consumed', 0))}",
-        f"- windows advanced: {_fmt(engine.get('windows_advanced', 0))}",
-        f"- tracked subnets: {_fmt(engine.get('subnets', 0))}",
+        f"- events consumed: {format_value(engine.get('events_consumed', 0))}",
+        f"- windows advanced: {format_value(engine.get('windows_advanced', 0))}",
+        f"- tracked subnets: {format_value(engine.get('subnets', 0))}",
         "",
         "## census drift",
         "",
-        f"- PSI (latest window vs baseline): {_fmt(last.get('psi'))}",
-        f"- KS distance: {_fmt(last.get('ks'))}",
-        f"- classification churn rate: {_fmt(last.get('churn_rate'))}",
-        f"- windows scored: {_fmt(drift.get('windows_scored', 0))}",
+        f"- PSI (latest window vs baseline): {format_value(last.get('psi'))}",
+        f"- KS distance: {format_value(last.get('ks'))}",
+        f"- classification churn rate: {format_value(last.get('churn_rate'))}",
+        f"- windows scored: {format_value(drift.get('windows_scored', 0))}",
     ]
     trend = sparkline(drift.get("recent_psi") or [])
     if trend:
@@ -475,15 +453,15 @@ def render_health_report(
         lines += ["", "## resources", ""]
         if resources.get("rss_bytes") is not None:
             lines.append(
-                f"- RSS: {_fmt_bytes(resources.get('rss_bytes'))} "
-                f"(peak {_fmt_bytes(resources.get('rss_peak_bytes'))})"
+                f"- RSS: {format_bytes(resources.get('rss_bytes'))} "
+                f"(peak {format_bytes(resources.get('rss_peak_bytes'))})"
             )
         if resources.get("cpu_percent") is not None:
-            lines.append(f"- CPU: {_fmt(resources.get('cpu_percent'))}%")
+            lines.append(f"- CPU: {format_value(resources.get('cpu_percent'))}%")
         if resources.get("open_fds") is not None:
             lines.append(
-                f"- open fds: {_fmt(resources.get('open_fds'))}, "
-                f"threads: {_fmt(resources.get('threads'))}"
+                f"- open fds: {format_value(resources.get('open_fds'))}, "
+                f"threads: {format_value(resources.get('threads'))}"
             )
         stages = resources.get("stages") or []
         if stages:
@@ -491,7 +469,7 @@ def render_health_report(
             for stage_row in stages[:5]:
                 lines.append(
                     f"  - `{stage_row.get('stage')}`: "
-                    f"{_fmt_bytes(stage_row.get('rss_peak_bytes'))}"
+                    f"{format_bytes(stage_row.get('rss_peak_bytes'))}"
                 )
     lines += ["", "## alerts", ""]
     states = health.get("alerts") or []
@@ -502,7 +480,7 @@ def render_health_report(
             lines.append(
                 f"| {state.get('rule')} | {state.get('state')} "
                 f"| `{state.get('condition')}` "
-                f"| {_fmt(state.get('value'))} |"
+                f"| {format_value(state.get('value'))} |"
             )
     else:
         lines.append("(no live alert states)")
@@ -510,13 +488,13 @@ def render_health_report(
         lines += ["", "### firing episodes", ""]
         for episode in episodes(alert_events):
             ended = (
-                _fmt(episode.get("ended")) if episode.get("ended") else "open"
+                format_value(episode.get("ended")) if episode.get("ended") else "open"
             )
             lines.append(
                 f"- `{episode['rule']}` "
                 f"{'fired' if episode['fired'] else 'pending only'}: "
-                f"{_fmt(episode.get('started'))} → {ended}, "
-                f"peak {_fmt(episode.get('peak_value'))} "
+                f"{format_value(episode.get('started'))} → {ended}, "
+                f"peak {format_value(episode.get('peak_value'))} "
                 f"(trace `{episode.get('trace_id')}`)"
             )
     text = "\n".join(lines) + "\n"

@@ -1,13 +1,14 @@
 """Sampling wall-clock profiler: periodic ``sys._current_frames`` walks.
 
-The deterministic profiler (:mod:`repro.obs.profile`) answers "where
-did CPU time go" at 1.3-2x overhead -- unusable against production
-traffic.  This sampler answers the same question statistically: a
-daemon thread wakes ~100 times a second, snapshots every thread's
-current frame stack, and folds each stack into an aggregate count.
-Overhead scales with the *sampling rate*, not the workload, so the
-<5% resource-observability budget holds on the fused ingest+classify
-hot path (pinned by ``benchmarks/bench_resource_overhead.py``).
+Answers "where did the time go" statistically, cheaply enough to run
+against production traffic: a daemon thread wakes ~100 times a second,
+snapshots every thread's current frame stack, and folds each stack
+into an aggregate count.  Overhead scales with the *sampling rate*,
+not the workload, so the <5% resource-observability budget holds on
+the fused ingest+classify hot path (pinned by
+``benchmarks/bench_resource_obs.py``).  Deterministic per-call counts
+need no repo code: run the CLI under the standard library's
+deterministic profiler (see ``docs/observability.md``).
 
 Outputs:
 
@@ -19,11 +20,8 @@ Outputs:
   to the run's ``trace_id`` so a flamegraph can sit next to the span
   trace in one Perfetto session.
 
-The sampler and the deterministic profiler are mutually exclusive --
-both instrument frame execution, and stacking them corrupts both
-reports.  :meth:`start` claims the shared arbitration slot
-(:func:`repro.obs.profile.acquire_profiler`); if ``--profile`` got
-there first the sampler logs the conflict and stays inert.
+Both are written atomically, so a crashed run never leaves a torn
+report.
 
 Frames are keyed ``function (file:firstlineno)`` -- the *definition*
 line, not the currently executing line, so one function is one frame
@@ -39,9 +37,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.obs.profile import acquire_profiler, release_profiler, \
-    write_report_text
 from repro.obs.trace import current_trace_id
+from repro.runtime.checkpoint import atomic_write_text
 
 #: ~100Hz: granular enough for stage-level attribution, cheap enough
 #: to leave on against live traffic.
@@ -81,7 +78,6 @@ class SamplingProfiler:
         self._lock = threading.Lock()
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._acquired = False
 
     # ---- lifecycle --------------------------------------------------------
 
@@ -90,16 +86,13 @@ class SamplingProfiler:
         return self._thread is not None and self._thread.is_alive()
 
     def start(self) -> bool:
-        """Begin sampling; False when another profiler holds the slot.
+        """Begin sampling; returns True once the sampler runs.
 
         Idempotent: calling start on a running sampler returns True
         without spawning a second thread.
         """
         if self.running:
             return True
-        if not acquire_profiler("sample"):
-            return False
-        self._acquired = True
         self.started_at = time.perf_counter()
         self._stop_event.clear()
         self._thread = threading.Thread(
@@ -109,15 +102,12 @@ class SamplingProfiler:
         return True
 
     def stop(self) -> None:
-        """Stop sampling and release the arbitration slot (idempotent)."""
+        """Stop sampling (idempotent)."""
         self._stop_event.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
             self.stopped_at = time.perf_counter()
-        if self._acquired:
-            release_profiler("sample")
-            self._acquired = False
 
     def _loop(self) -> None:
         own_id = threading.get_ident()
@@ -175,7 +165,9 @@ class SamplingProfiler:
 
     def write_collapsed(self, path: Union[str, Path]) -> Path:
         """Atomically write the collapsed stacks (crash-safe report)."""
-        return write_report_text(path, "\n".join(self.collapsed()) + "\n")
+        path = Path(path)
+        atomic_write_text(path, "\n".join(self.collapsed()) + "\n")
+        return path
 
     def to_chrome_trace(self, trace_id: Optional[str] = None) -> Dict:
         """Chrome ``trace_event`` JSON for the sampled profile.
@@ -229,6 +221,8 @@ class SamplingProfiler:
     ) -> Path:
         import json
 
-        return write_report_text(
+        path = Path(path)
+        atomic_write_text(
             path, json.dumps(self.to_chrome_trace(trace_id)) + "\n"
         )
+        return path

@@ -33,6 +33,10 @@ ring -- never a torn or half-rotated view.  Appends are
 write-then-flush of a single line, which POSIX appends atomically for
 lines under the pipe buffer size; a truncated final line (hard kill)
 is skipped by the reader rather than poisoning the whole store.
+
+**Dumps.**  :func:`load_metrics_dump` decodes a ``--metrics-out`` file
+(JSON or Prometheus text) into the same sample shape, so ``stats``,
+``top`` and ``report --health`` read a dump like one scrape.
 """
 
 from __future__ import annotations
@@ -42,9 +46,16 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    _bucket_quantile,
+    global_registry,
+    parse_prometheus_text,
+)
 
 SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".jsonl"
@@ -60,22 +71,31 @@ def scrape_registry(
 ) -> Dict:
     """One scrape: the registry as a compact tagged-array sample."""
     registry = registry if registry is not None else global_registry()
-    snapshot = registry.as_dict()
-    snapshot.pop("_uptime_s", None)
+    return {"ts": clock(), "m": tag_snapshot(registry.as_dict())}
+
+
+def tag_snapshot(snapshot: Dict) -> Dict[str, List]:
+    """``{tagged key: tagged array}`` for one ``as_dict()`` snapshot.
+
+    The live scrape and a loaded JSON ``--metrics-out`` dump both go
+    through here.  A labelled gauge fans out into one
+    ``name{label="value"}`` key per label; entries that are not metric
+    payloads (``_uptime_s``) are skipped.
+    """
     metrics: Dict[str, List] = {}
     for name, payload in snapshot.items():
+        if not isinstance(payload, dict):
+            continue
         kind = payload.get("type")
-        if kind == "counter":
-            metrics[name] = ["c", payload["value"]]
-        elif kind == "gauge":
-            metrics[name] = ["g", payload["value"]]
+        if kind in ("counter", "gauge"):
+            metrics[name] = [kind[0], payload.get("value", 0)]
         elif kind == "histogram":
             metrics[name] = [
                 "h",
-                payload["count"],
-                payload["sum"],
-                payload["p50"],
-                payload["p99"],
+                payload.get("count", 0),
+                payload.get("sum", 0.0),
+                payload.get("p50"),
+                payload.get("p99"),
             ]
         elif kind == "labeled_gauge":
             label = payload["label"]
@@ -83,7 +103,88 @@ def scrape_registry(
                 metrics[tag_metric(name, **{label: label_value})] = (
                     ["g", value]
                 )
-    return {"ts": clock(), "m": metrics}
+    return metrics
+
+
+def _tag_prometheus(text: str) -> Dict[str, List]:
+    """Prometheus exposition text as tagged arrays (strictly parsed).
+
+    Histogram p50/p99 come from the cumulative ``_bucket`` series by
+    the rule :meth:`Histogram.quantile` applies to live buckets; the
+    zero placeholder of an empty labelled family is dropped, as the
+    JSON export has no series for it either.
+    """
+    metrics: Dict[str, List] = {}
+    for name, family in parse_prometheus_text(text).items():
+        if family["type"] == "histogram":
+            bounds: List[float] = []
+            cumulative: List[float] = []
+            totals: Dict[str, float] = {}
+            for sample_name, labels, value in family["samples"]:
+                le = _labels(labels).get("le")
+                if sample_name != f"{name}_bucket":
+                    totals[sample_name] = value
+                elif le not in (None, "+Inf"):
+                    bounds.append(float(le))
+                    cumulative.append(value)
+            count = totals.get(f"{name}_count", 0)
+            per_bucket = [
+                upper - lower
+                for lower, upper in zip([0] + cumulative, cumulative + [count])
+            ]
+            metrics[name] = ["h", count, totals.get(f"{name}_sum", 0.0)] + [
+                _bucket_quantile(bounds, per_bucket, count, q)
+                for q in (0.5, 0.99)
+            ]
+            continue
+        tag = "c" if family["type"] == "counter" else "g"
+        for sample_name, labels, value in family["samples"]:
+            parsed = _labels(labels)
+            if parsed and not any(parsed.values()):
+                continue
+            metrics[tag_metric(sample_name, **parsed)] = [tag, value]
+    return metrics
+
+
+def _labels(raw: str) -> Dict[str, str]:
+    """A Prometheus label string (``stage="x"``) as a dict."""
+    return split_metric_tag(f"_{{{raw}}}")[1]
+
+
+def _plain(value):
+    """Integral floats as ints: Prometheus text cannot tell 2.0 from 2."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def load_metrics_dump(path: Union[str, Path]) -> Dict:
+    """A ``--metrics-out`` dump (JSON or Prometheus text) as one sample.
+
+    Both formats decode to the sample a live scrape produces, stamped
+    with the file's mtime, plus the ``process_uptime_seconds`` gauge.
+    Numbers are normalised as Prometheus text stores them, so one
+    registry gives one sample in either format.  Raises ``OSError`` or
+    ``ValueError`` on unreadable or malformed files.
+    """
+    path = Path(path)
+    text = path.read_text()
+    if path.suffix == ".json":
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("metrics JSON is not an object")
+        metrics = tag_snapshot(raw)
+        if "_uptime_s" in raw:
+            metrics["process_uptime_seconds"] = ["g", raw["_uptime_s"]]
+    else:
+        metrics = _tag_prometheus(text)
+    return {
+        "ts": path.stat().st_mtime,
+        "m": {
+            key: [payload[0]] + [_plain(value) for value in payload[1:]]
+            for key, payload in metrics.items()
+        },
+    }
 
 
 class TimeSeriesStore:
@@ -285,20 +386,33 @@ class TimeSeriesReader:
         process-local and monotonic); the rate is then derived from the
         new raw value alone, so restarts never produce negative rates.
         """
-        raw: List[Tuple[float, float]] = []
+        return self.rates((name,), start, end)[name]
+
+    def rates(
+        self,
+        names: Iterable[str],
+        start: Optional[float] = None,
+        end: Optional[float] = None,
+    ) -> Dict[str, List[Tuple[float, float]]]:
+        """:meth:`rate` for several counters in one pass over the ring."""
+        rates: Dict[str, List] = {name: [] for name in names}
+        previous: Dict[str, Tuple[float, float]] = {}
         for sample in self.samples(start, end):
-            payload = sample.get("m", {}).get(name)
-            if payload and payload[0] == "c":
-                raw.append((sample["ts"], float(payload[1])))
-        rates: List[Tuple[float, float]] = []
-        for (t0, v0), (t1, v1) in zip(raw, raw[1:]):
-            dt = t1 - t0
-            if dt <= 0:
-                continue
-            delta = v1 - v0
-            if delta < 0:  # counter reset: process restart
-                delta = v1
-            rates.append((t1, delta / dt))
+            metrics = sample.get("m", {})
+            for name, points in rates.items():
+                payload = metrics.get(name)
+                if not payload or payload[0] != "c":
+                    continue
+                t1, v1 = sample["ts"], float(payload[1])
+                if name in previous:
+                    t0, v0 = previous[name]
+                    dt = t1 - t0
+                    if dt > 0:
+                        delta = v1 - v0
+                        if delta < 0:  # counter reset: process restart
+                            delta = v1
+                        points.append((t1, delta / dt))
+                previous[name] = (t1, v1)
         return rates
 
 

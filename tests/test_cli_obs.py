@@ -1,4 +1,4 @@
-"""CLI observability: --metrics-out/--trace-out/--profile and `stats`."""
+"""CLI observability: --metrics-out/--trace-out and `stats`."""
 
 from __future__ import annotations
 
@@ -61,15 +61,6 @@ class TestTelemetryFlags:
         assert main(["run", "--metrics-out", str(out)] + ARGS) == 0
         payload = json.loads(out.read_text())
         assert "_uptime_s" in payload
-
-    def test_profile_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "profile.txt"
-        code = main(
-            ["run", "--profile", "--profile-out", str(out)] + ARGS
-        )
-        assert code == 0
-        assert "cumulative" in out.read_text()
-        assert out.with_suffix(".txt.pstats").exists()
 
 
 class TestStatsCommand:

@@ -1,14 +1,19 @@
 """Resource-plane tests: /proc parsing against fixture files, sampler
-lifecycle, labelled-gauge export, watermark attribution, profiler
-arbitration, and SIGUSR1 dump atomicity while sampling."""
+lifecycle, labelled-gauge export, watermark attribution, the stack
+sampler, and SIGUSR1 dump atomicity while sampling."""
 
 from __future__ import annotations
 
 import gc
+import json
 import os
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +24,6 @@ from repro.obs.metrics import (
     NullMetric,
     parse_prometheus_text,
     reset_global_registry,
-)
-from repro.obs.profile import (
-    acquire_profiler,
-    active_profiler,
-    maybe_profile,
-    release_profiler,
 )
 from repro.obs.resources import (
     LeakDrill,
@@ -404,42 +403,6 @@ class TestLeakDrill:
         assert engine.leak_drill.retained_bytes == 0
 
 
-class TestProfilerArbitration:
-    def teardown_method(self):
-        release_profiler("cprofile")
-        release_profiler("sample")
-
-    def test_slot_is_exclusive(self):
-        assert acquire_profiler("cprofile")
-        assert active_profiler() == "cprofile"
-        assert not acquire_profiler("sample")
-        release_profiler("sample")  # non-holder release is a no-op
-        assert active_profiler() == "cprofile"
-        release_profiler("cprofile")
-        assert active_profiler() is None
-        assert acquire_profiler("sample")
-
-    def test_sampler_defers_to_cprofile(self):
-        assert acquire_profiler("cprofile")
-        sampler = SamplingProfiler(interval_s=0.001)
-        assert sampler.start() is False
-        assert not sampler.running
-        release_profiler("cprofile")
-        assert sampler.start() is True
-        sampler.stop()
-        assert active_profiler() is None
-
-    def test_cprofile_defers_to_sampler(self, tmp_path):
-        sampler = SamplingProfiler(interval_s=0.001)
-        assert sampler.start()
-        try:
-            with maybe_profile(True, tmp_path / "p.txt") as prof:
-                assert prof is None  # refused, not stacked
-            assert not (tmp_path / "p.txt").exists()
-        finally:
-            sampler.stop()
-
-
 class TestSamplingProfiler:
     def test_start_stop_idempotent_and_collapsed_format(self, tmp_path):
         sampler = SamplingProfiler(interval_s=0.001)
@@ -510,3 +473,91 @@ class TestSigusr1DuringSampling:
         assert parsed["process_rss_bytes"]["samples"][0][2] > 0
         assert (tmp_path / "mid.collapsed").exists()
         assert (tmp_path / "mid.collapsed.trace.json").exists()
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _cellspot(args, cwd, out):
+    """Start ``python -m repro.cli ARGS`` in ``cwd``, stdout and stderr
+    both to the file ``out``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    with open(out, "w") as stream:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.cli"] + args, cwd=cwd, env=env,
+            stdout=stream, stderr=subprocess.STDOUT,
+        )
+
+
+def _normalise_run(text):
+    """Drop the per-run timing column and the checkpoint dir name."""
+    lines = []
+    for line in text.splitlines(keepends=True):
+        line = re.sub(r"\| *[0-9]+\.[0-9]+s *\|", "| TIME |", line, count=1)
+        lines.append(re.sub(r"ckpt_(plain|obs)", "ckpt", line, count=1))
+    return "".join(lines)
+
+
+class TestResourceSmokeDrill:
+    """``cellspot all`` with the stack sampler, the resource plane and
+    every telemetry file on is byte-identical to the plain run, and the
+    artifacts it leaves strict-parse."""
+
+    def test_observed_run_is_identical_and_artifacts_parse(self, tmp_path):
+        base = ["all", "--scale", "0.001", "--seed", "3"]
+        plain = _cellspot(
+            base + ["--checkpoint", "ckpt_plain"],
+            tmp_path, tmp_path / "plain.out",
+        )
+        observed = _cellspot(
+            base + ["--checkpoint", "ckpt_obs", "--prof-sample",
+                    "--timeseries-dir", "ts_obs",
+                    "--metrics-out", "metrics.prom",
+                    "--trace-out", "trace.json"],
+            tmp_path, tmp_path / "obs.out",
+        )
+        plain_code = plain.wait(timeout=600)
+        observed_code = observed.wait(timeout=600)
+        plain_out = (tmp_path / "plain.out").read_text()
+        observed_out = (tmp_path / "obs.out").read_text()
+        assert plain_code == 0, plain_out[-2000:]
+        assert observed_code == 0, observed_out[-2000:]
+        # Observation must not perturb the observed.
+        assert _normalise_run(plain_out) == _normalise_run(observed_out)
+
+        parsed = parse_prometheus_text((tmp_path / "metrics.prom").read_text())
+        for family in ("process_rss_bytes", "process_rss_peak_bytes",
+                       "process_cpu_percent", "process_open_fds",
+                       "process_gc_collections", "rss_peak_bytes"):
+            assert family in parsed, family
+        # Stage watermarks carry real attribution.
+        stages = [labels for _name, labels, value
+                  in parsed["rss_peak_bytes"]["samples"] if value > 0]
+        assert any("experiment.run" in s for s in stages), stages
+
+        collapsed = (
+            tmp_path / "ckpt_obs" / "profile.collapsed"
+        ).read_text().splitlines()
+        assert collapsed and all(
+            line.rsplit(" ", 1)[1].isdigit() for line in collapsed
+        ), "collapsed stacks must end in a sample count"
+        trace = json.loads(
+            (tmp_path / "ckpt_obs" / "profile.collapsed.trace.json")
+            .read_text()
+        )
+        assert trace["otherData"]["kind"] == "sampling-profile"
+        run_trace = json.loads((tmp_path / "trace.json").read_text())
+        assert (trace["otherData"]["trace_id"]
+                == run_trace["otherData"]["trace_id"])
+
+        stats = _cellspot(
+            ["stats", "--metrics", "metrics.prom", "--resources"],
+            tmp_path, tmp_path / "stats.out",
+        )
+        stats_code = stats.wait(timeout=120)
+        stats_out = (tmp_path / "stats.out").read_text()
+        assert stats_code == 0, stats_out[-2000:]
+        assert "top stages by peak-RSS watermark" in stats_out, stats_out
