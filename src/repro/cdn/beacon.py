@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.cdn.logs import BeaconHit
 from repro.cdn.netinfo import draw_connection_type
@@ -88,20 +88,30 @@ class BeaconGenerator:
     def summarize(self) -> BeaconDataset:
         """Generate per-subnet label counts without materializing hits."""
         dataset = BeaconDataset(month=self.config.month)
-        month = self.config.month
+        # Per mix, in first-use order: its browsers, split weights and
+        # API adoption (the same for every subnet), plus hit and API-hit
+        # tallies per browser, folded into the dataset at the end.
+        mixes: Dict[bool, Tuple[list, list, list, list, list]] = {}
         for subnet in self.world.subnets():
+            mean = self.mean_hits(subnet)
+            if mean == 0.0:
+                continue  # a zero mean draws nothing: no RNG to seed
             rng = self._subnet_rng(subnet, "sum")
-            hits = poisson(rng, self.mean_hits(subnet))
+            hits = poisson(rng, mean)
             if hits == 0:
                 continue
-            mix = self.world.population.mix_for(self._uses_mobile_mix(subnet))
-            browsers = list(mix)
-            per_browser = split_integer(rng, hits, [mix[b] for b in browsers])
+            mobile = self._uses_mobile_mix(subnet)
+            mix = mixes.get(mobile)
+            if mix is None:
+                mix = mixes[mobile] = self._mix_tallies(mobile)
+            _, weights, adoption, hit_sums, api_sums = mix
+            per_browser = split_integer(rng, hits, weights)
             api_total = 0
-            for browser, browser_hits in zip(browsers, per_browser):
-                api_hits = binomial(rng, browser_hits, api_adoption(browser, month))
+            for index, browser_hits in enumerate(per_browser):
+                api_hits = binomial(rng, browser_hits, adoption[index])
                 api_total += api_hits
-                dataset.observe_browser_batch(browser, browser_hits, api_hits)
+                hit_sums[index] += browser_hits
+                api_sums[index] += api_hits
             cellular = binomial(rng, api_total, subnet.cellular_label_rate)
             dataset.add_counts(
                 SubnetBeaconCounts(
@@ -113,7 +123,21 @@ class BeaconGenerator:
                     cellular_hits=cellular,
                 )
             )
+        for browsers, _, _, hit_sums, api_sums in mixes.values():
+            for browser, browser_hits, api_hits in zip(browsers, hit_sums, api_sums):
+                dataset.observe_browser_batch(browser, browser_hits, api_hits)
         return dataset
+
+    def _mix_tallies(self, mobile: bool) -> Tuple[list, list, list, list, list]:
+        mix = self.world.population.mix_for(mobile)
+        browsers = list(mix)
+        return (
+            browsers,
+            [mix[browser] for browser in browsers],
+            [api_adoption(browser, self.config.month) for browser in browsers],
+            [0] * len(browsers),
+            [0] * len(browsers),
+        )
 
     # ---- hit-level path -----------------------------------------------------
 

@@ -11,7 +11,7 @@ drawn with lognormal day-to-day jitter, summed over a seven-day window
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.cdn.logs import RequestRecord
 from repro.datasets.demand_dataset import DemandDataset
@@ -54,16 +54,27 @@ class DemandGenerator:
             subnet.demand_weight / self._total_demand
         ) * self.config.daily_requests
 
-    def iter_records(self) -> Iterator[RequestRecord]:
-        """Stream daily per-subnet request records across the window."""
+    def _daily_requests(self) -> Iterator[Tuple[SubnetPlan, List[int]]]:
+        """Each demand-active subnet with its request count per day.
+
+        The one place the per-subnet draws are made: per day, a
+        lognormal jitter then a Poisson count, from the subnet's RNG.
+        """
+        sigma = self.config.day_jitter_sigma
+        days = range(self.config.days)
         for subnet in self.world.subnets():
             mean = self._daily_mean(subnet)
             if mean <= 0:
                 continue
             rng = self.world.rng(f"{self.config.seed_salt}:{subnet.prefix}")
-            for day in range(self.config.days):
-                jitter = rng.lognormvariate(0.0, self.config.day_jitter_sigma)
-                requests = poisson(rng, mean * jitter)
+            yield subnet, [
+                poisson(rng, mean * rng.lognormvariate(0.0, sigma)) for _ in days
+            ]
+
+    def iter_records(self) -> Iterator[RequestRecord]:
+        """Stream daily per-subnet request records across the window."""
+        for subnet, daily in self._daily_requests():
+            for day, requests in enumerate(daily):
                 if requests > 0:
                     yield RequestRecord(
                         day=day,
@@ -73,19 +84,19 @@ class DemandGenerator:
                         requests=requests,
                     )
 
+    def request_totals(self) -> Iterator[Tuple[Prefix, int, str, int]]:
+        """``(subnet, asn, country, requests)`` summed over the window.
+
+        Equal to :meth:`iter_records` summed per subnet, without
+        building a record per day; subnets with no requests are skipped.
+        """
+        for subnet, daily in self._daily_requests():
+            requests = sum(daily)
+            if requests > 0:
+                yield subnet.prefix, subnet.asn, subnet.country, requests
+
     def build_dataset(self) -> DemandDataset:
         """Aggregate the window into a normalized :class:`DemandDataset`."""
-        totals: Dict[Prefix, List] = {}
-        for record in self.iter_records():
-            entry = totals.get(record.subnet)
-            if entry is None:
-                totals[record.subnet] = [record.asn, record.country, record.requests]
-            else:
-                entry[2] += record.requests
         return DemandDataset.from_request_totals(
-            (
-                (subnet, asn, country, requests)
-                for subnet, (asn, country, requests) in totals.items()
-            ),
-            window_days=self.config.days,
+            self.request_totals(), window_days=self.config.days
         )

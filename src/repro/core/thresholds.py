@@ -86,10 +86,18 @@ def sweep_thresholds(
     grid = list(thresholds) if thresholds is not None else default_threshold_grid()
     if not grid:
         raise ValueError("empty threshold grid")
+    # Validation scores only the carrier's own prefixes, each by exact
+    # key, so classifying just their rows gives the full table's scores.
+    scored = {}
+    for prefix in truth.all_prefixes:
+        record = ratios.get(prefix)
+        if record is not None:
+            scored[prefix] = record
+    carrier_ratios = RatioTable(scored.values())
     scores = []
     for threshold in grid:
         classifier = SubnetClassifier(threshold=threshold)
-        result = classifier.classify(ratios)
+        result = classifier.classify(carrier_ratios)
         validation = validate_against_carrier(result, truth, demand)
         confusion = validation.by_demand if weighted else validation.by_cidr
         scores.append(confusion.f1)

@@ -17,7 +17,6 @@ from resolvers that are proximal to the fixed customers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -102,50 +101,47 @@ def build_affinity(
 ) -> ResolverAffinity:
     """Generate affinities for every demand-active access-network subnet."""
     operator_resolvers, public_resolvers = deploy_resolvers(world)
-    public_weights = normalized_popularity()
     public_by_service: Dict[str, List[Resolver]] = {}
     for resolver in public_resolvers:
         public_by_service.setdefault(resolver.service, []).append(resolver)
+    public_pools = [
+        (public_by_service[service], weight)
+        for service, weight in normalized_popularity().items()
+    ]
+    plans = world.topology.plans
+    plan_of_prefix = world.allocation.by_prefix
 
     records: List[AffinityRecord] = []
+    append = records.append
     for subnet_demand in demand:
         asn = subnet_demand.asn
         resolvers = operator_resolvers.get(asn)
         if not resolvers:
             continue  # not an access network
-        plan = world.topology.plans[asn]
-        subnet_plan = world.allocation.by_prefix.get(subnet_demand.subnet)
+        plan = plans[asn]
+        subnet = subnet_demand.subnet
+        subnet_plan = plan_of_prefix.get(subnet)
         if subnet_plan is None:
             continue
-        rng = world.rng(f"{seed_salt}:{subnet_demand.subnet}")
+        rng = world.rng(f"{seed_salt}:{subnet}")
         cellular_client = subnet_plan.is_cellular
-        country = world.geography.get(subnet_plan.country)
+        country_code = subnet_plan.country
+        country = world.geography.get(country_code)
         spread = _CELLULAR_SPREAD_DEG if cellular_client else _FIXED_SPREAD_DEG
         client_lat = _clamp_lat(country.latitude + rng.uniform(-spread, spread))
         client_lon = _wrap_lon(country.longitude + rng.uniform(-spread, spread))
-
-        def emit(resolver: Resolver, du: float) -> None:
-            if du <= 0:
-                return
-            records.append(
-                AffinityRecord(
-                    subnet=subnet_demand.subnet,
-                    asn=asn,
-                    country=subnet_plan.country,
-                    resolver=resolver,
-                    du=du,
-                    client_latitude=client_lat,
-                    client_longitude=client_lon,
-                )
-            )
 
         # A /24 holds many clients, so its demand is a *weighted
         # association* over several resolvers, not a single pick.
         public_rate = plan.public_dns_fraction if cellular_client else 0.02
         public_du = subnet_demand.du * public_rate
         if public_du > 0:
-            for service, weight in public_weights.items():
-                emit(rng.choice(public_by_service[service]), public_du * weight)
+            for pool, weight in public_pools:
+                resolver = rng.choice(pool)
+                du = public_du * weight
+                if du > 0:
+                    append(AffinityRecord(subnet, asn, country_code, resolver,
+                                          du, client_lat, client_lon))
 
         operator_du = subnet_demand.du - public_du
         candidates = [r for r in resolvers if r.policy.serves(cellular_client)]
@@ -154,23 +150,11 @@ def build_affinity(
         splits = [rng.random() + 0.2 for _ in candidates]
         split_total = sum(splits)
         for resolver, split in zip(candidates, splits):
-            emit(resolver, operator_du * split / split_total)
+            du = operator_du * split / split_total
+            if du > 0:
+                append(AffinityRecord(subnet, asn, country_code, resolver,
+                                      du, client_lat, client_lon))
     return ResolverAffinity(records)
-
-
-def _draw_public(
-    rng: random.Random,
-    by_service: Dict[str, List[Resolver]],
-    weights: Dict[str, float],
-) -> Resolver:
-    roll = rng.random()
-    running = 0.0
-    for service, weight in weights.items():
-        running += weight
-        if roll < running:
-            return rng.choice(by_service[service])
-    last_service = next(reversed(weights))
-    return rng.choice(by_service[last_service])
 
 
 def _clamp_lat(latitude: float) -> float:

@@ -51,8 +51,9 @@ def format_ipv4(value: int) -> str:
     """
     if not 0 <= value <= _IPV4_MAX:
         raise AddressError(f"IPv4 integer out of range: {value}")
-    return ".".join(
-        str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+    return (
+        f"{value >> 24}.{(value >> 16) & 0xFF}."
+        f"{(value >> 8) & 0xFF}.{value & 0xFF}"
     )
 
 

@@ -108,7 +108,11 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
     mean = n * p
     variance = mean * (1.0 - p)
     if n <= 64:
-        return sum(1 for _ in range(n) if rng.random() < p)
+        successes = 0
+        for _ in range(n):
+            if rng.random() < p:
+                successes += 1
+        return successes
     if mean <= 12.0:
         # Rare events: Poisson(mean), clipped to n.
         return min(_poisson(rng, mean), n)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -117,8 +118,13 @@ _ADOPTION_ANCHORS: Dict[Browser, Sequence[Tuple[str, float]]] = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
 def api_adoption(browser: Browser, month: str) -> float:
-    """Probability a hit from ``browser`` in ``month`` carries API data."""
+    """Probability a hit from ``browser`` in ``month`` carries API data.
+
+    A pure function of its arguments, memoised: hit-level generation
+    asks for the same few (browser, month) pairs once per hit.
+    """
     anchors = _ADOPTION_ANCHORS[browser]
     target = month_index(month)
     indices = [month_index(m) for m, _ in anchors]

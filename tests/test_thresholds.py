@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.classifier import SubnetClassifier
 from repro.core.ratios import RatioRecord, RatioTable
 from repro.core.thresholds import (
     ThresholdSweep,
@@ -9,6 +10,7 @@ from repro.core.thresholds import (
     sweep_many,
     sweep_thresholds,
 )
+from repro.core.validation import validate_against_carrier
 from repro.datasets.groundtruth import CarrierGroundTruth
 from repro.net.prefix import Prefix
 
@@ -98,3 +100,36 @@ class TestStableRangeEdge:
         sweep = ThresholdSweep("x", (0.5,), (0.9,), weighted=False)
         low, high = sweep.stable_range()
         assert (low, high) == (0.5, 0.5)
+
+
+class TestCarrierRowsOnly:
+    """The sweep classifies only the carrier's rows; the scores must be
+    those of classifying the whole table at every threshold."""
+
+    def test_matches_full_table_sweep(self, lab):
+        ratios = lab.result.ratios
+        grid = default_threshold_grid()
+        full = {
+            (label, weighted): []
+            for label in lab.carriers
+            for weighted in (True, False)
+        }
+        for threshold in grid:
+            result = SubnetClassifier(threshold=threshold).classify(ratios)
+            for label, truth in lab.carriers.items():
+                validation = validate_against_carrier(result, truth, lab.demand)
+                full[label, True].append(validation.by_demand.f1)
+                full[label, False].append(validation.by_cidr.f1)
+        assert len(lab.carriers) == 3
+        for (label, weighted), scores in full.items():
+            truth = lab.carriers[label]
+            assert len(truth.all_prefixes) < len(ratios)
+            sweep = sweep_thresholds(
+                ratios, truth, lab.demand, grid, weighted=weighted
+            )
+            assert sweep == ThresholdSweep(
+                carrier=truth.label,
+                thresholds=tuple(grid),
+                f1_scores=tuple(scores),
+                weighted=weighted,
+            )
