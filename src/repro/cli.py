@@ -939,14 +939,14 @@ def _render_resource_panel(sample: dict, path: Path) -> str:
     """
     from repro.analysis.report import render_table
     from repro.obs.dashboard import format_bytes, health_from_sample
-    from repro.obs.timeseries import split_metric_tag
+    from repro.obs.timeseries import payload_scalar, split_metric_tag
 
     resources = health_from_sample(sample, str(path))["resources"]
     gc_by_gen = {}
     for key, payload in sample["m"].items():
         base, labels = split_metric_tag(key)
         if base == "process_gc_collections" and labels:
-            gc_by_gen[next(iter(labels.values()))] = payload[1]
+            gc_by_gen[next(iter(labels.values()))] = payload_scalar(payload)
     if not resources and not gc_by_gen:
         return ""
     rows = [
@@ -998,7 +998,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 2
     if args.metrics:
         from repro.obs.dashboard import format_value
-        from repro.obs.timeseries import load_metrics_dump
+        from repro.obs.timeseries import decode_payload, load_metrics_dump
 
         path = Path(args.metrics)
         try:
@@ -1008,17 +1008,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             return 2
         rows = []
         for key, payload in sorted(sample["m"].items()):
-            if payload[0] == "h":
-                count, total, p50, p99 = payload[1:5]
-                mean = total / count if count else 0.0
+            kind, value = decode_payload(payload)
+            if kind == "histogram":
+                count = value["count"]
+                mean = value["sum"] / count if count else 0.0
                 rows.append([
-                    key, "histogram", format_value(count, 6),
+                    key, kind, format_value(count, 6),
                     f"mean={format_value(mean, 6)} "
-                    f"p50={format_value(p50, 6)} p99={format_value(p99, 6)}",
+                    f"p50={format_value(value['p50'], 6)} "
+                    f"p99={format_value(value['p99'], 6)}",
                 ])
             else:
-                kind = "counter" if payload[0] == "c" else "gauge"
-                rows.append([key, kind, format_value(payload[1], 6), ""])
+                rows.append([key, kind, format_value(value, 6), ""])
         if not rows:
             print(f"error: metrics {path}: no metrics found",
                   file=sys.stderr)
@@ -1312,8 +1313,7 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
             return 2
         print(f"{args.rules}: {len(rules)} valid rule(s)")
         for rule in rules:
-            suffix = f" for {rule.for_s:g}s" if rule.for_s else ""
-            print(f"  {rule.name}: {rule.condition()}{suffix}")
+            print(f"  {rule.name}: {rule.condition()}")
         if not args.log and not args.socket:
             return 0
 

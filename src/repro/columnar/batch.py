@@ -45,11 +45,6 @@ from repro.net.prefix import Prefix
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _split_value(value: int) -> Tuple[int, int]:
-    """(hi, lo) unsigned halves of a 128-bit prefix value."""
-    return value >> 64, value & _MASK64
-
-
 def _join_value(hi: int, lo: int) -> int:
     return (hi << 64) | lo
 

@@ -23,24 +23,32 @@ Supported ``kind`` values:
 - ``quantile``     -- a histogram's scraped quantile (``q`` is 0.5 or
   0.99, the two the time-series sample carries);
 - ``skew``         -- fleet divergence over a *labelled* metric
-  family: all sample keys of the form ``metric{worker="N"}`` (the
-  serving plane's federated per-worker series) are evaluated
-  (histograms via ``q``, counters/gauges via their scalar) and the
-  value is ``worst / median(rest)`` -- how far the worst replica sits
-  from the rest of the fleet.  Needs at least two replicas reporting;
-  fewer is "no data", never a breach;
-- ``memory_budget`` -- the worst (plain or labelled) gauge value vs an
+  family: the ``metric{worker="N"}`` series (the serving plane's
+  federated per-worker series) reduce to ``worst / median(rest)`` --
+  how far the worst replica sits from the rest of the fleet.  Needs at
+  least two replicas reporting; fewer is "no data", never a breach;
+- ``memory_budget`` -- the worst (plain or labelled) value vs an
   absolute byte budget, or -- when ``percent`` is set -- that percent
   of the machine's total memory resolved at rule-build time (the
   given ``threshold`` stays as the absolute fallback off-Linux);
-- ``rss_growth``   -- leak detector: least-squares slope (bytes/s) of
-  the metric over a trailing ``window_s``, evaluated per series (the
-  plain key *and* every federated ``metric{worker="N"}`` key -- a
-  single leaking worker pages like a latency skew).  Reset-aware: a
-  value *drop* (restart, ballast release, allocator trim) clears that
-  series' history instead of producing a negative or poisoned slope.
-  Needs >= 3 points spanning at least half the window; less is "no
-  data", never a breach.
+- ``rss_growth``   -- leak detector: the worst least-squares slope
+  (bytes/s) over a trailing ``window_s``, per series (plain and
+  labelled -- a single leaking worker pages like a latency skew).
+  Reset-aware: a value *drop* (restart, ballast release, allocator
+  trim) clears that series' history instead of producing a negative
+  or poisoned slope.  Needs >= 3 points spanning at least half the
+  window; less is "no data", never a breach.
+
+**Evaluation.**  Every kind runs one path: *select* the rule's series
+(the plain key; the labelled keys for ``skew``; both for
+``memory_budget`` and ``rss_growth``), turn each series' scalar into
+the rule's *value* (raw, over the denominator, the rate or the slope),
+then *reduce* across series (``skew``: worst over the median of the
+rest; every other kind: the max).  A series' scalar is its counter or
+gauge value, or a histogram's ``q`` quantile for ``quantile`` and
+``skew`` and its count otherwise; a null or malformed payload is no
+data.  The two stateful kinds keep per-series points on
+:attr:`AlertState.history`.
 
 **State machine.**  Each rule is ``ok -> pending -> firing -> ok``:
 a breach moves ok to *pending*; a breach sustained for ``for_s``
@@ -66,6 +74,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.obs.timeseries import counter_rate, payload_scalar
 from repro.obs.trace import current_trace_id
 
 STATE_OK = "ok"
@@ -408,8 +417,9 @@ class AlertState:
     #: Timestamp of the most recent evaluation.
     last_ts: Optional[float] = None
     transitions: int = 0
-    #: Per-series trailing points for ``rss_growth`` rules:
-    #: ``{sample key: [(ts, value), ...]}`` within the rule's window.
+    #: Per-series points of the stateful kinds, ``{sample key:
+    #: [(ts, value), ...]}``: the last point for ``counter_rate``, the
+    #: trailing window for ``rss_growth``.
     history: Dict[str, List] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
@@ -423,42 +433,6 @@ class AlertState:
             "transitions": self.transitions,
             "description": self.rule.description,
         }
-
-
-def _labelled_values(rule: AlertRule, metrics: Dict) -> List[float]:
-    """Scalars for every ``metric{...}`` series in one sample."""
-    prefix = rule.metric + "{"
-    values = [
-        _payload_scalar(payload, rule.q)
-        for key, payload in metrics.items() if key.startswith(prefix)
-    ]
-    return [value for value in values if value is not None]
-
-
-def _series_keys(rule: AlertRule, metrics: Dict) -> List[str]:
-    """The plain metric key plus every labelled ``metric{...}`` key."""
-    keys = [rule.metric] if rule.metric in metrics else []
-    prefix = rule.metric + "{"
-    keys.extend(sorted(k for k in metrics if k.startswith(prefix)))
-    return keys
-
-
-def _payload_scalar(payload, q: Optional[float] = None) -> Optional[float]:
-    """One tagged-array payload as a float; None when it has none.
-
-    Counters and gauges give their value; a histogram gives its p50 or
-    p99 when ``q`` names one, else None.  Malformed payloads give None.
-    """
-    try:
-        if payload[0] in ("c", "g"):
-            value = payload[1]
-        elif payload[0] == "h" and q is not None:
-            value = payload[3] if q == 0.5 else payload[4]
-        else:
-            return None
-        return None if value is None else float(value)
-    except (TypeError, IndexError, ValueError):
-        return None
 
 
 def _slope(points: List) -> Optional[float]:
@@ -479,23 +453,31 @@ def _slope(points: List) -> Optional[float]:
     ) / denom
 
 
-def _growth_value(
-    state: AlertState, sample: Dict, ts: float
+def _series_value(
+    state: AlertState,
+    key: str,
+    value: Optional[float],
+    metrics: Dict,
+    ts: float,
 ) -> Optional[float]:
-    """Worst per-series RSS slope for one ``rss_growth`` rule.
-
-    Stateful (the trailing window lives on ``state.history``), so it
-    runs inside the engine rather than through :func:`_sample_value`.
-    A series whose value *drops* had a restart or a release -- its
-    history is cleared (reset-aware), never rated as negative growth.
-    """
+    """One series' scalar as the rule's value (None = no data)."""
     rule = state.rule
-    metrics = sample.get("m", {})
-    worst: Optional[float] = None
-    for key in _series_keys(rule, metrics):
-        value = _payload_scalar(metrics[key])
+    if rule.kind == "ratio":
+        base = payload_scalar(metrics.get(rule.denominator))
+        if value is None or base is None:
+            return None
+        return value / base if base > 0 else 0.0
+    if rule.kind == "counter_rate":
+        before = state.history.pop(key, None)
         if value is None:
-            continue
+            return None
+        state.history[key] = [(ts, value)]
+        if before is None:
+            return None
+        return counter_rate(before[-1], (ts, value))
+    if rule.kind == "rss_growth" and value is not None:
+        # Reset-aware: a value that *drops* had a restart or a release,
+        # so the series starts over instead of rating negative growth.
         points = state.history.setdefault(key, [])
         if points and value < points[-1][1]:
             points.clear()
@@ -506,61 +488,43 @@ def _growth_value(
         # Demand at least half the window of evidence: three samples
         # seconds apart must not convict a process of leaking.
         if points[-1][0] - points[0][0] < rule.window_s / 2:
-            continue
-        slope = _slope(points)
-        if slope is not None and (worst is None or slope > worst):
-            worst = slope
-    return worst
+            return None
+        return _slope(points)
+    return value
 
 
-def _sample_value(rule: AlertRule, sample: Dict, previous: Optional[Dict]):
-    """Evaluate one rule against one scraped sample (None = no data)."""
+def _evaluate(state: AlertState, sample: Dict, ts: float) -> Optional[float]:
+    """One rule against one sample: select, value, reduce (None = no data).
+
+    The one evaluation path of every kind (see the module docstring).
+    """
+    rule = state.rule
     metrics = sample.get("m", {})
-    if rule.kind == "memory_budget":
-        values = [
-            value for value in (
-                _payload_scalar(metrics[key])
-                for key in _series_keys(rule, metrics)
-            ) if value is not None
-        ]
-        return max(values) if values else None
+    plain = rule.kind != "skew" and rule.metric in metrics
+    keys = [rule.metric] if plain else []
+    if rule.kind in ("skew", "memory_budget", "rss_growth"):
+        prefix = rule.metric + "{"
+        keys.extend(sorted(key for key in metrics if key.startswith(prefix)))
+    q = rule.q if rule.kind in ("quantile", "skew") else None
+    values = [
+        value for value in (
+            _series_value(
+                state, key, payload_scalar(metrics[key], q), metrics, ts
+            )
+            for key in keys
+        ) if value is not None
+    ]
+    if rule.kind == "counter_rate":
+        # A series this sample lacks has no baseline for the next one.
+        for key in set(state.history) - set(keys):
+            del state.history[key]
     if rule.kind == "skew":
-        values = sorted(_labelled_values(rule, metrics))
         if len(values) < 2:
             return None
-        worst, rest = values[-1], values[:-1]
-        baseline = statistics.median(rest)
-        return worst / baseline if baseline > 0 else None
-    payload = metrics.get(rule.metric)
-    if payload is None:
-        return None
-    if rule.kind == "gauge" or rule.kind == "counter":
-        return float(payload[1])
-    if rule.kind == "ratio":
-        denominator = metrics.get(rule.denominator)
-        if denominator is None:
-            return None
-        base = float(denominator[1])
-        return float(payload[1]) / base if base > 0 else 0.0
-    if rule.kind == "quantile":
-        decoded = payload
-        if decoded[0] != "h":
-            return None
-        value = decoded[3] if rule.q == 0.5 else decoded[4]
-        return None if value is None else float(value)
-    # counter_rate
-    if previous is None:
-        return None
-    before = previous.get("m", {}).get(rule.metric)
-    if before is None:
-        return None
-    dt = sample.get("ts", 0.0) - previous.get("ts", 0.0)
-    if dt <= 0:
-        return None
-    delta = float(payload[1]) - float(before[1])
-    if delta < 0:  # counter reset (restart)
-        delta = float(payload[1])
-    return delta / dt
+        values.sort()
+        baseline = statistics.median(values[:-1])
+        return values[-1] / baseline if baseline > 0 else None
+    return max(values) if values else None
 
 
 class AlertEngine:
@@ -586,7 +550,6 @@ class AlertEngine:
             rule.name: AlertState(rule=rule) for rule in self.rules
         }
         self.events: List[Dict] = []
-        self._previous_sample: Optional[Dict] = None
         self._lock = threading.Lock()
 
     # ---- evaluation ------------------------------------------------------
@@ -597,16 +560,10 @@ class AlertEngine:
         emitted: List[Dict] = []
         with self._lock:
             for state in self.states.values():
-                if state.rule.kind == "rss_growth":
-                    value = _growth_value(state, sample, ts)
-                else:
-                    value = _sample_value(
-                        state.rule, sample, self._previous_sample
-                    )
+                value = _evaluate(state, sample, ts)
                 transition = self._advance(state, value, ts)
                 if transition is not None:
                     emitted.append(transition)
-            self._previous_sample = sample
         for event in emitted:
             self._append_log(event)
         return emitted

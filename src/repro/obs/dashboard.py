@@ -259,45 +259,48 @@ def health_from_sample(sample: Dict, source: str) -> Dict:
     Serves both a time-series scrape and a decoded ``--metrics-out``
     dump (:func:`repro.obs.timeseries.load_metrics_dump`).
     """
-    from repro.obs.timeseries import split_metric_tag
+    from repro.obs.timeseries import decode_payload, split_metric_tag
 
-    metrics = sample.get("m", {})
+    decoded = {
+        name: decode_payload(payload)
+        for name, payload in sample.get("m", {}).items()
+    }
     values: Dict[str, float] = {}
-    for name, payload in metrics.items():
-        if payload[0] in ("c", "g"):
-            values[name] = payload[1]
-        elif payload[0] == "h":
-            values[f"{name}_p99"] = payload[4] or 0.0
+    for name, (kind, value) in decoded.items():
+        if kind == "histogram":
+            values[f"{name}_p99"] = value["p99"] or 0.0
+        elif kind is not None:
+            values[name] = value
     health = _health_from_values(values, source, sample.get("ts"))
     # Federated per-worker series (serving plane): tagged keys like
     # scale_worker_query_latency_seconds{worker="0"} become one
     # dashboard row per worker.
     workers: Dict[str, Dict] = {}
     stages: Dict[str, float] = {}
-    for name, payload in metrics.items():
+    for name, (kind, value) in decoded.items():
         if "{" not in name:
             continue
         base, labels = split_metric_tag(name)
         if (
             base == "rss_peak_bytes"
             and labels.get("stage")
-            and payload[0] == "g"
+            and kind == "gauge"
         ):
             # Stage watermarks from this process and (federated)
             # workers fold into one heaviest-stages view.
             stage = labels["stage"]
-            stages[stage] = max(stages.get(stage, 0.0), payload[1])
+            stages[stage] = max(stages.get(stage, 0.0), value)
         slot = labels.get("worker")
         if slot is None:
             continue
         row = workers.setdefault(slot, {"worker": slot})
-        if base == "scale_worker_query_latency_seconds" and payload[0] == "h":
-            row["queries"] = payload[1]
-            row["p99_s"] = payload[4]
-        elif base == "scale_worker_generation" and payload[0] == "g":
-            row["generation"] = payload[1]
-        elif base == "process_rss_bytes" and payload[0] == "g":
-            row["rss_bytes"] = payload[1]
+        if base == "scale_worker_query_latency_seconds" and kind == "histogram":
+            row["queries"] = value["count"]
+            row["p99_s"] = value["p99"]
+        elif base == "scale_worker_generation" and kind == "gauge":
+            row["generation"] = value
+        elif base == "process_rss_bytes" and kind == "gauge":
+            row["rss_bytes"] = value
     if workers:
         health["workers"] = [
             workers[slot] for slot in sorted(workers, key=str)

@@ -20,7 +20,9 @@ scrape::
 
 Metric payloads are compact tagged arrays -- ``["c", value]`` for
 counters, ``["g", value]`` for gauges, ``["h", count, sum, p50, p99]``
-for histograms.  Counters are stored *raw* (cumulative); the reader is
+for histograms.  :func:`decode_payload` is the one reader of that
+format; every other module goes through it or :func:`payload_scalar`.
+Counters are stored *raw* (cumulative); the reader is
 delta/rate-aware and derives per-interval rates, treating a negative
 delta as a process restart (rate from the new raw value, never a
 negative rate).
@@ -104,6 +106,56 @@ def tag_snapshot(snapshot: Dict) -> Dict[str, List]:
                     ["g", value]
                 )
     return metrics
+
+
+def decode_payload(payload) -> Tuple[Optional[str], object]:
+    """One tagged-array payload as ``(type, value)``.
+
+    The one reader of the format :func:`tag_snapshot` writes: counters
+    and gauges decode to ``("counter" | "gauge", value)``, histograms to
+    ``("histogram", {"count", "sum", "p50", "p99"})``, and anything
+    malformed to ``(None, None)``.  Values come back as stored, so a
+    ``null`` stays ``None``.
+    """
+    if isinstance(payload, (list, tuple)) and len(payload) >= 2:
+        if payload[0] in ("c", "g"):
+            return ("counter" if payload[0] == "c" else "gauge"), payload[1]
+        if payload[0] == "h" and len(payload) >= 5:
+            fields = ("count", "sum", "p50", "p99")
+            return "histogram", dict(zip(fields, payload[1:5]))
+    return None, None
+
+
+def payload_scalar(payload, q: Optional[float] = None) -> Optional[float]:
+    """One payload as a float; None when it has none.
+
+    Counters and gauges give their value.  A histogram gives its p50 or
+    p99 when ``q`` is 0.5 or 0.99, else its count.  Null, non-numeric
+    and malformed payloads give None.
+    """
+    kind, value = decode_payload(payload)
+    if kind == "histogram":
+        value = value["count" if q is None else "p50" if q == 0.5 else "p99"]
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def counter_rate(
+    before: Tuple[float, float], after: Tuple[float, float]
+) -> Optional[float]:
+    """Per-second rate between two ``(ts, value)`` counter points.
+
+    Restart-aware: counters are process-local and monotonic, so a
+    negative delta means a restart and the rate comes from the new raw
+    value alone.  None when time did not advance.
+    """
+    (t0, v0), (t1, v1) = before, after
+    if t1 - t0 <= 0:
+        return None
+    delta = v1 - v0
+    return (v1 if delta < 0 else delta) / (t1 - t0)
 
 
 def _tag_prometheus(text: str) -> Dict[str, List]:
@@ -355,12 +407,9 @@ class TimeSeriesReader:
         """
         points: List[Tuple[float, object]] = []
         for sample in self.samples(start, end):
-            payload = sample.get("m", {}).get(name)
-            if payload is None:
-                continue
-            decoded = _decode(payload)
-            if decoded is not None:
-                points.append((sample["ts"], decoded))
+            kind, value = decode_payload(sample.get("m", {}).get(name))
+            if kind is not None:
+                points.append((sample["ts"], value))
         return points
 
     def metric_names(self) -> List[str]:
@@ -400,19 +449,15 @@ class TimeSeriesReader:
         for sample in self.samples(start, end):
             metrics = sample.get("m", {})
             for name, points in rates.items():
-                payload = metrics.get(name)
-                if not payload or payload[0] != "c":
+                kind, value = decode_payload(metrics.get(name))
+                if kind != "counter":
                     continue
-                t1, v1 = sample["ts"], float(payload[1])
+                point = (sample["ts"], float(value))
                 if name in previous:
-                    t0, v0 = previous[name]
-                    dt = t1 - t0
-                    if dt > 0:
-                        delta = v1 - v0
-                        if delta < 0:  # counter reset: process restart
-                            delta = v1
-                        points.append((t1, delta / dt))
-                previous[name] = (t1, v1)
+                    rate = counter_rate(previous[name], point)
+                    if rate is not None:
+                        points.append((point[0], rate))
+                previous[name] = point
         return rates
 
 
@@ -466,23 +511,6 @@ def split_metric_tag(key: str) -> Tuple[str, Dict[str, str]]:
             continue
         labels[part[:eq]] = part[eq + 1:].strip('"')
     return key[:brace], labels
-
-
-def _decode(payload) -> Optional[object]:
-    try:
-        tag = payload[0]
-        if tag in ("c", "g"):
-            return payload[1]
-        if tag == "h":
-            return {
-                "count": payload[1],
-                "sum": payload[2],
-                "p50": payload[3],
-                "p99": payload[4],
-            }
-    except (TypeError, IndexError, KeyError):
-        return None
-    return None
 
 
 class MetricScraper:

@@ -121,6 +121,15 @@ def plane_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry
     return registry
 
 
+#: Hard cap on one worker reply; beyond it the worker is presumed hung
+#: and is killed + respawned.
+WORKER_REPLY_CAP_S = 10.0
+#: Times a query is retried on another worker after a death.
+DISPATCH_RETRIES = 2
+#: Seconds a drain waits for admitted requests to finish.
+DRAIN_TIMEOUT_S = 10.0
+
+
 @dataclass
 class PlaneConfig:
     """Front-end knobs (validated on construction)."""
@@ -133,19 +142,9 @@ class PlaneConfig:
     deadline_s: Optional[float] = 0.25
     threshold: float = DEFAULT_THRESHOLD
     min_api_hits: int = 1
-    #: Worker-side catalog poll cadence while idle.
-    worker_poll_interval_s: float = 0.05
-    #: Worker-side catalog poll cadence while busy (every N requests).
-    worker_refresh_every: int = 256
     #: How long to wait for the first snapshot generation / a worker
     #: socket at startup.
     startup_timeout_s: float = 120.0
-    #: Hard cap on one worker reply; beyond it the worker is presumed
-    #: hung and is killed + respawned.
-    worker_reply_cap_s: float = 10.0
-    #: Times a query is retried on another worker after a death.
-    dispatch_retries: int = 2
-    drain_timeout_s: float = 10.0
     #: Timeout for one per-worker ``stats`` roundtrip (best effort).
     stats_timeout_s: float = 2.0
     #: Observability root.  When set, the front mints request ids,
@@ -173,10 +172,6 @@ class PlaneConfig:
             raise ValueError("deadline_s must be positive")
         if self.startup_timeout_s <= 0:
             raise ValueError("startup_timeout_s must be positive")
-        if self.worker_reply_cap_s <= 0:
-            raise ValueError("worker_reply_cap_s must be positive")
-        if self.dispatch_retries < 0:
-            raise ValueError("dispatch_retries must be >= 0")
         if self.stats_timeout_s <= 0:
             raise ValueError("stats_timeout_s must be positive")
         if self.obs_scrape_interval_s <= 0:
@@ -297,17 +292,23 @@ class PlaneObs:
 
     def worker_rollup(self) -> List[Dict]:
         """Per-worker health rows from the latest federated samples."""
+        from repro.obs.timeseries import decode_payload
+
         rows: List[Dict] = []
         for slot, sample in self._latest_samples():
             metrics = sample.get("m") or {}
             row: Dict = {"worker": slot, "ts": sample.get("ts")}
-            latency = metrics.get("scale_worker_query_latency_seconds")
-            if isinstance(latency, list) and latency and latency[0] == "h":
-                row["queries"] = latency[1]
-                row["p99_s"] = latency[4]
-            generation = metrics.get("scale_worker_generation")
-            if isinstance(generation, list) and len(generation) == 2:
-                row["generation"] = generation[1]
+            kind, latency = decode_payload(
+                metrics.get("scale_worker_query_latency_seconds")
+            )
+            if kind == "histogram":
+                row["queries"] = latency["count"]
+                row["p99_s"] = latency["p99"]
+            kind, generation = decode_payload(
+                metrics.get("scale_worker_generation")
+            )
+            if kind in ("counter", "gauge"):
+                row["generation"] = generation
             rows.append(row)
         return rows
 
@@ -474,8 +475,6 @@ class ServingPlane:
         incarnation = self._incarnations.get(slot, 0)
         self._incarnations[slot] = incarnation + 1
         kwargs = {
-            "poll_interval_s": self.config.worker_poll_interval_s,
-            "refresh_every": self.config.worker_refresh_every,
             "startup_timeout_s": self.config.startup_timeout_s,
             "slot": slot,
         }
@@ -621,7 +620,7 @@ class ServingPlane:
                 continue  # stale idle-queue entry from a retirement
             self._dispatched += 1
             fault_point("scale.dispatch", index=self._dispatched)
-            cap = self.config.worker_reply_cap_s
+            cap = WORKER_REPLY_CAP_S
             budget = cap if remaining is None else min(remaining, cap)
             if rid is not None:
                 handle.inflight = {
@@ -637,7 +636,7 @@ class ServingPlane:
                     # Hung worker: kill it and retry elsewhere.
                     task.cancel()
                     await self._retire(handle, reason="reply cap exceeded")
-                    if attempts < self.config.dispatch_retries:
+                    if attempts < DISPATCH_RETRIES:
                         attempts += 1
                         continue
                     return error("worker timeout")
@@ -648,7 +647,7 @@ class ServingPlane:
                 return SHED_RESPONSE
             except (ConnectionError, asyncio.IncompleteReadError, OSError):
                 await self._retire(handle)
-                if attempts < self.config.dispatch_retries:
+                if attempts < DISPATCH_RETRIES:
                     attempts += 1
                     continue
                 return error("worker failed")
@@ -660,7 +659,7 @@ class ServingPlane:
     async def _reclaim(self, handle: WorkerHandle, task: asyncio.Future) -> None:
         """Re-idle a worker whose reply outlived its request's deadline."""
         try:
-            await asyncio.wait_for(task, self.config.worker_reply_cap_s)
+            await asyncio.wait_for(task, WORKER_REPLY_CAP_S)
         except (
             asyncio.TimeoutError,
             ConnectionError,
@@ -971,7 +970,7 @@ class ServingPlane:
             except Exception:  # noqa: BLE001 -- teardown best effort
                 pass
         self._servers = []
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while self._pending > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         if self._reaper_task is not None:

@@ -45,6 +45,10 @@ from repro.serve import protocol
 
 #: How long a freshly spawned worker waits for the front to connect.
 ACCEPT_TIMEOUT_S = 30.0
+#: Catalog poll cadence: while idle (seconds) and while busy (every N
+#: requests).
+POLL_INTERVAL_S = 0.05
+REFRESH_EVERY = 256
 
 
 def worker_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -369,8 +373,6 @@ def worker_main(
     catalog_dir: str,
     threshold: float,
     min_api_hits: int,
-    poll_interval_s: float = 0.05,
-    refresh_every: int = 512,
     startup_timeout_s: float = 60.0,
     slot: int = 0,
     obs_dir: Optional[str] = None,
@@ -386,7 +388,7 @@ def worker_main(
         catalog,
         threshold=threshold,
         min_api_hits=min_api_hits,
-        refresh_every=refresh_every,
+        refresh_every=REFRESH_EVERY,
         slot=slot,
         slow_query_s=slow_query_s,
     )
@@ -420,7 +422,7 @@ def worker_main(
         except socket.timeout:
             return  # front never came; exit quietly
         with connection:
-            connection.settimeout(poll_interval_s)
+            connection.settimeout(POLL_INTERVAL_S)
             buffer = b""
             while True:
                 newline = buffer.find(b"\n")

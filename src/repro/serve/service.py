@@ -190,8 +190,6 @@ class ServiceConfig:
     snapshot_every_events: Optional[int] = 50_000
     #: Events pulled from the source between requests.
     ingest_batch: int = 5_000
-    #: Rebuild the index every N window advances (>=1).
-    rebuild_every_windows: int = 1
     #: Admission bound: requests queued beyond this are shed with an
     #: explicit ``overloaded`` response (None = legacy unbounded).
     max_pending: Optional[int] = None
@@ -210,8 +208,6 @@ class ServiceConfig:
             raise ValueError("snapshot_every_events must be >= 1")
         if self.ingest_batch < 1:
             raise ValueError("ingest_batch must be >= 1")
-        if self.rebuild_every_windows < 1:
-            raise ValueError("rebuild_every_windows must be >= 1")
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -426,8 +422,7 @@ class CellSpotService:
             return True
         if self.engine.events_consumed == self._index_events:
             return False
-        advanced = self.engine.windows_advanced - self._windows_at_build
-        return advanced >= self.config.rebuild_every_windows or (
+        return self.engine.windows_advanced > self._windows_at_build or (
             # No window has closed yet but data arrived: rebuild once
             # so early queries are not answered from an empty index.
             self._index_events <= 0

@@ -101,8 +101,10 @@ class TestAlertsCommand:
     def test_validates_rule_file(self, capsys, rules_file):
         assert main(["alerts", "--rules", str(rules_file)]) == 0
         out = capsys.readouterr().out
-        assert "1 valid rule(s)" in out
-        assert "depth: queue_depth > 10 for 2s" in out
+        assert out.splitlines() == [
+            f"{rules_file}: 1 valid rule(s)",
+            "  depth: queue_depth > 10 for 2s",
+        ]
 
     def test_invalid_rule_file_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -226,6 +226,138 @@ class TestEngineTransitions:
         assert counts[STATE_PENDING] == 0
 
 
+    def test_counter_rate_gap_clears_the_baseline(self):
+        # A sample without the series leaves no baseline behind: the
+        # next sample rates nothing, the one after rates against it.
+        rule = AlertRule(name="rate", kind="counter_rate",
+                         metric="events_total", threshold=1e9)
+        engine = AlertEngine([rule])
+        engine.observe(_sample(10, events_total=["c", 0]))
+        engine.observe(_sample(11, other=["c", 1]))
+        engine.observe(_sample(12, events_total=["c", 500]))
+        assert engine.states["rate"].last_value is None
+        engine.observe(_sample(14, events_total=["c", 700]))
+        assert engine.states["rate"].last_value == 100.0
+
+
+# ---- kind x payload matrix --------------------------------------------------
+
+#: Payload factories: step ``i`` of a series scaled by ``m``.
+_PAYLOADS = {
+    "counter": lambda i, m: ["c", 10 * (i + 1) * m],
+    "gauge": lambda i, m: ["g", 2.5 * (i + 1) * m],
+    "histogram": lambda i, m: [
+        "h", 4 * (i + 1) * m, 2.0 * (i + 1) * m,
+        0.125 * (i + 1) * m, 0.5 * (i + 1) * m,
+    ],
+    "null": lambda i, m: ["g", None],
+    "null_histogram": lambda i, m: ["h", 3 * m, 1.0, None, None],
+    "empty": lambda i, m: [],
+    "text": lambda i, m: "x",
+}
+
+_KIND_RULES = {
+    "gauge": {},
+    "counter": {},
+    "counter_rate": {},
+    "ratio": {"denominator": "den"},
+    "quantile": {"q": 0.99},
+    "skew": {"q": 0.5},
+    "memory_budget": {"threshold": 1.0},
+    "rss_growth": {"window_s": 2.0},
+}
+
+#: The value each kind records for samples 0..3 (None = no data).  Each
+#: sample carries the payload under ``x`` (scale 1) and under
+#: ``x{worker="0|1|2"}`` (scales 1, 2, 6), plus a ``den`` counter.
+#: ``# was`` marks the cells the per-kind evaluators answered
+#: differently: null and malformed payloads raised out of the plain
+#: kinds, ``quantile`` ignored counters and gauges, and
+#: ``memory_budget`` / ``rss_growth`` ignored histograms.
+_MATRIX = {
+    ("gauge", "counter"): (10.0, 20.0, 30.0, 40.0),
+    ("gauge", "gauge"): (2.5, 5.0, 7.5, 10.0),
+    ("gauge", "histogram"): (4.0, 8.0, 12.0, 16.0),
+    ("gauge", "null"): (None,) * 4,  # was: TypeError
+    ("gauge", "null_histogram"): (3.0, 3.0, 3.0, 3.0),
+    ("gauge", "empty"): (None,) * 4,  # was: IndexError
+    ("gauge", "text"): (None,) * 4,  # was: IndexError
+    ("counter", "counter"): (10.0, 20.0, 30.0, 40.0),
+    ("counter", "gauge"): (2.5, 5.0, 7.5, 10.0),
+    ("counter", "histogram"): (4.0, 8.0, 12.0, 16.0),
+    ("counter", "null"): (None,) * 4,  # was: TypeError
+    ("counter", "null_histogram"): (3.0, 3.0, 3.0, 3.0),
+    ("counter", "empty"): (None,) * 4,  # was: IndexError
+    ("counter", "text"): (None,) * 4,  # was: IndexError
+    ("counter_rate", "counter"): (None, 10.0, 10.0, 10.0),
+    ("counter_rate", "gauge"): (None, 2.5, 2.5, 2.5),
+    ("counter_rate", "histogram"): (None, 4.0, 4.0, 4.0),
+    ("counter_rate", "null"): (None,) * 4,  # was: None, TypeError
+    ("counter_rate", "null_histogram"): (None, 0.0, 0.0, 0.0),
+    ("counter_rate", "empty"): (None,) * 4,  # was: None, IndexError
+    ("counter_rate", "text"): (None,) * 4,  # was: None, IndexError
+    ("ratio", "counter"): (1.25, 1.25, 1.25, 1.25),
+    ("ratio", "gauge"): (0.3125, 0.3125, 0.3125, 0.3125),
+    ("ratio", "histogram"): (0.5, 0.5, 0.5, 0.5),
+    ("ratio", "null"): (None,) * 4,  # was: TypeError
+    ("ratio", "null_histogram"): (0.375, 0.1875, 0.125, 0.09375),
+    ("ratio", "empty"): (None,) * 4,  # was: IndexError
+    ("ratio", "text"): (None,) * 4,  # was: IndexError
+    ("quantile", "counter"): (10.0, 20.0, 30.0, 40.0),  # was: None x4
+    ("quantile", "gauge"): (2.5, 5.0, 7.5, 10.0),  # was: None x4
+    ("quantile", "histogram"): (0.5, 1.0, 1.5, 2.0),
+    ("quantile", "null"): (None,) * 4,
+    ("quantile", "null_histogram"): (None,) * 4,
+    ("quantile", "empty"): (None,) * 4,  # was: IndexError
+    ("quantile", "text"): (None,) * 4,
+    ("skew", "counter"): (4.0, 4.0, 4.0, 4.0),
+    ("skew", "gauge"): (4.0, 4.0, 4.0, 4.0),
+    ("skew", "histogram"): (4.0, 4.0, 4.0, 4.0),
+    ("skew", "null"): (None,) * 4,
+    ("skew", "null_histogram"): (None,) * 4,
+    ("skew", "empty"): (None,) * 4,
+    ("skew", "text"): (None,) * 4,
+    ("memory_budget", "counter"): (60.0, 120.0, 180.0, 240.0),
+    ("memory_budget", "gauge"): (15.0, 30.0, 45.0, 60.0),
+    ("memory_budget", "histogram"): (24.0, 48.0, 72.0, 96.0),  # was: None x4
+    ("memory_budget", "null"): (None,) * 4,
+    ("memory_budget", "null_histogram"): (18.0,) * 4,  # was: None x4
+    ("memory_budget", "empty"): (None,) * 4,
+    ("memory_budget", "text"): (None,) * 4,
+    ("rss_growth", "counter"): (None, None, 60.0, 60.0),
+    ("rss_growth", "gauge"): (None, None, 15.0, 15.0),
+    ("rss_growth", "histogram"): (None, None, 24.0, 24.0),  # was: None x4
+    ("rss_growth", "null"): (None,) * 4,
+    ("rss_growth", "null_histogram"): (None, None, 0.0, 0.0),  # was: None x4
+    ("rss_growth", "empty"): (None,) * 4,
+    ("rss_growth", "text"): (None,) * 4,
+}
+
+
+class TestKindPayloadMatrix:
+    @pytest.mark.parametrize("kind", sorted(_KIND_RULES))
+    def test_recorded_values(self, kind, monkeypatch):
+        for payload, make in _PAYLOADS.items():
+            rule = AlertRule(name="r", kind=kind, metric="x",
+                             **_KIND_RULES[kind])
+            engine = AlertEngine([rule])
+            recorded = []
+            advance = engine._advance
+
+            def spy(state, value, ts):
+                recorded.append(value)
+                return advance(state, value, ts)
+
+            monkeypatch.setattr(engine, "_advance", spy)
+            for i in range(4):
+                engine.observe(_sample(
+                    i, x=make(i, 1), den=["c", 8 * (i + 1)],
+                    **{f'x{{worker="{slot}"}}': make(i, scale)
+                       for slot, scale in enumerate((1, 2, 6))},
+                ))
+            assert tuple(recorded) == _MATRIX[kind, payload], payload
+
+
 class TestAlertLog:
     def test_transitions_logged_with_trace_id(self, tmp_path):
         log = tmp_path / "alerts.jsonl"

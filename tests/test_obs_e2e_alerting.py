@@ -6,16 +6,23 @@ from the time-series store and the alert log, joined on trace_id.
 This is the differential test the telemetry plane exists for: the
 *live* path (stream engine -> drift monitor -> gauges -> scraper ->
 alert engine) and the *post-mortem* path (TimeSeriesReader + alert
-log) must tell the same story.
+log) must tell the same story.  :class:`TestRejectBudgetDrill` runs the
+same loop on an exported hit stream with a corruption burst, then a
+live ``cellspot serve`` session and the dashboards it feeds.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cdn.logs import BeaconHit
+from repro.cdn.logs import BeaconHit, read_jsonl
 from repro.cdn.netinfo import ConnectionType
 from repro.net.prefix import Prefix
 from repro.obs.alerts import (
@@ -30,6 +37,7 @@ from repro.obs.alerts import (
 from repro.obs.health import CensusDriftMonitor
 from repro.obs.metrics import reset_global_registry
 from repro.obs.timeseries import MetricScraper, TimeSeriesStore, TimeSeriesReader
+from repro.runtime.policies import IngestPolicy
 from repro.stream import StreamEngine, WindowPolicy
 from repro.world.population import Browser
 
@@ -39,6 +47,8 @@ WINDOW = 400
 SUBNETS = 40
 
 _SENTINEL_TRACE = "e2e-drift-trace"
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _hit(subnet_index: int, host: int, cellular: bool) -> BeaconHit:
@@ -173,3 +183,132 @@ class TestEndToEndDriftAlerting:
         assert scraper.samples_taken == engine.windows_advanced
         # The monitor scored every window past the baseline.
         assert engine.monitor.windows_scored == 17
+
+
+def _cellspot(args, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m repro.cli ARGS`` in ``cwd``; output captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli"] + args, cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300, **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def hit_stream(tmp_path_factory):
+    """An exported per-hit stream, split into a faulty burst and a tail.
+
+    ``burst.jsonl`` is the first quarter of the stream with one bad
+    line per twelve good ones appended -- enough to blow the 10% reject
+    budget while the burst is the bulk of traffic.  ``tail.jsonl`` is
+    the clean remainder that dilutes the lifetime reject ratio back
+    under budget.
+    """
+    root = tmp_path_factory.mktemp("reject-drill")
+    export = _cellspot(
+        ["datasets", "--out", "data", "--hits", "--hit-volume", "20000",
+         "--scale", "0.002", "--seed", "3"], root,
+    )
+    assert export.returncode == 0, export.stderr[-2000:]
+    lines = (root / "data" / "hits.jsonl").read_text().splitlines()
+    first = lines[: len(lines) // 4]
+    garbage = ['{"definitely": "not a beacon hit"'] * (len(lines) // 12)
+    (root / "burst.jsonl").write_text("\n".join(first + garbage) + "\n")
+    (root / "tail.jsonl").write_text(
+        "\n".join(lines[len(lines) // 4:]) + "\n"
+    )
+    return root
+
+
+class TestRejectBudgetDrill:
+    """The ingest reject-budget rule over a faulty stream, then a live
+    serve session with the telemetry flags and the dashboards."""
+
+    def test_burst_fires_and_tail_resolves(self, hit_stream):
+        # Deterministic loop (manual scrapes, no timers): ingest the
+        # faulty burst -> scrape -> the ratio rule fires; ingest the
+        # clean tail -> scrape -> it resolves.
+        reset_global_registry()
+        try:
+            scraper = MetricScraper(
+                TimeSeriesStore(hit_stream / "ts"), interval_s=60.0
+            )
+            rule = AlertRule(
+                name="ingest-reject-budget", kind="ratio",
+                metric="ingest_rejected_total",
+                denominator="ingest_lines_total", threshold=0.10,
+            )
+            alerts = AlertEngine(
+                [rule], log_path=hit_stream / "alerts.jsonl",
+                trace_id="ci-smoke",
+            )
+            scraper.subscribe(alerts.observe)
+            for name, ts in (("burst.jsonl", 1.0), ("tail.jsonl", 2.0)):
+                with open(hit_stream / name) as stream:
+                    for _hit in read_jsonl(
+                        stream, BeaconHit, policy=IngestPolicy.skip()
+                    ):
+                        pass
+                scraper.scrape_once(ts=ts)
+        finally:
+            reset_global_registry()
+
+        moves = [(e["from"], e["to"]) for e in alerts.events]
+        assert moves == [(STATE_OK, STATE_FIRING), (STATE_FIRING, STATE_OK)]
+        assert all(e["trace_id"] == "ci-smoke" for e in alerts.events)
+
+        # The time series round-trips through the reader and agrees
+        # with the alert log.
+        reader = TimeSeriesReader(hit_stream / "ts")
+        assert [s["ts"] for s in reader.samples()] == [1.0, 2.0]
+        lines = reader.series("ingest_lines_total")
+        rejected = reader.series("ingest_rejected_total")
+        assert lines[-1][1] > lines[0][1]  # the tail was counted
+        assert rejected[0][1] == rejected[-1][1]  # no rejects in the tail
+        ratio_then = rejected[0][1] / lines[0][1]
+        ratio_now = rejected[-1][1] / lines[-1][1]
+        assert ratio_then > 0.10 > ratio_now, (ratio_then, ratio_now)
+        (episode,) = episodes(read_alert_log(hit_stream / "alerts.jsonl"))
+        assert episode["fired"] and episode["ended"] == 2.0
+        assert episode["trace_id"] == "ci-smoke"
+
+    def test_live_serve_session_and_dashboards(self, hit_stream):
+        # serve with the scraper and the default rules live, the
+        # health/alerts ops over the protocol, then the socket-less
+        # dashboards read the artifacts the session left behind.
+        requests = [json.dumps({"op": op})
+                    for op in ("health", "alerts", "shutdown")]
+        serve = _cellspot(
+            ["serve", "--events", "data/hits.jsonl",
+             "--window-events", "5000",
+             "--timeseries-dir", "serve-ts",
+             "--alert-log", "serve-alerts.jsonl",
+             "--scrape-interval", "0.1"],
+            hit_stream, input="\n".join(requests) + "\n",
+        )
+        assert serve.returncode == 0, serve.stderr[-2000:]
+        health, alerts, shutdown = map(json.loads, serve.stdout.splitlines())
+        assert health["ok"]
+        assert shutdown["shutdown"] is True
+        assert len(health["alerts"]) == 11  # the default SLO rules
+        assert "alert_counts" in health
+        assert alerts["trace_id"]
+        assert "alerting:" in serve.stderr
+
+        top = _cellspot(
+            ["top", "--timeseries-dir", "serve-ts", "--once", "--no-ansi"],
+            hit_stream,
+        )
+        assert top.returncode == 0, top.stderr[-2000:]
+        report = _cellspot(
+            ["report", "--health", "--timeseries-dir", "serve-ts",
+             "--alert-log", "serve-alerts.jsonl"],
+            hit_stream,
+        )
+        assert report.returncode == 0, report.stderr[-2000:]
+        rollup = (hit_stream / "HEALTH.md").read_text()
+        assert rollup
+        assert "cellspot health rollup" in rollup

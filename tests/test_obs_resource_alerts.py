@@ -24,7 +24,8 @@ from repro.obs.alerts import (
     AlertEngine,
     AlertRule,
     AlertRuleError,
-    _sample_value,
+    AlertState,
+    _evaluate,
     default_rules,
     episodes,
     read_alert_log,
@@ -132,14 +133,15 @@ class TestMemoryBudgetRule:
         sample = _sample(1.0, process_rss_bytes=100.0)
         sample["m"]['process_rss_bytes{worker="0"}'] = ("g", 50.0)
         sample["m"]['process_rss_bytes{worker="1"}'] = ("g", 900.0)
-        assert _sample_value(rule, sample, None) == 900.0
+        assert _evaluate(AlertState(rule), sample, 1.0) == 900.0
 
     def test_no_series_is_no_data(self):
         rule = AlertRule(
             name="b", kind="memory_budget", metric="process_rss_bytes",
             threshold=1.0,
         )
-        assert _sample_value(rule, _sample(1.0, other=5.0), None) is None
+        sample = _sample(1.0, other=5.0)
+        assert _evaluate(AlertState(rule), sample, 1.0) is None
 
     def test_fires_and_resolves_through_engine(self):
         rule = AlertRule(

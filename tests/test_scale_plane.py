@@ -75,8 +75,6 @@ class TestPlaneConfig:
             {"deadline_s": 0.0},
             {"deadline_s": -1.0},
             {"startup_timeout_s": 0.0},
-            {"worker_reply_cap_s": 0.0},
-            {"dispatch_retries": -1},
             {"stats_timeout_s": 0.0},
             {"obs_scrape_interval_s": 0.0},
             {"flight_records": 0},

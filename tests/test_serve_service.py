@@ -44,7 +44,6 @@ class TestConfig:
         [
             {"snapshot_every_events": 0},
             {"ingest_batch": 0},
-            {"rebuild_every_windows": 0},
         ],
     )
     def test_rejects_nonpositive_knobs(self, kwargs):
