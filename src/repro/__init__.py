@@ -26,18 +26,27 @@ Packages:
 - :mod:`repro.experiments` -- one module per paper table and figure
 """
 
-from repro.core.pipeline import CellSpotter, CellSpotterResult
-from repro.lab import Lab
-from repro.world.build import World, WorldParams, build_world
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CellSpotter",
-    "CellSpotterResult",
-    "Lab",
-    "World",
-    "WorldParams",
-    "build_world",
-    "__version__",
-]
+# Resolved on first access (PEP 562): importing any ``repro.X`` runs
+# this file, and the serving plane's processes must not pay for the
+# pipeline and the world generator they never call.
+_LAZY = {
+    "CellSpotter": "repro.core.pipeline",
+    "CellSpotterResult": "repro.core.pipeline",
+    "Lab": "repro.lab",
+    "World": "repro.world.build",
+    "WorldParams": "repro.world.build",
+    "build_world": "repro.world.build",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -3,7 +3,7 @@
 The paper's vantage point is a large CDN with two monitoring sources
 (section 3): Javascript RUM beacons carrying Network Information API
 data (BEACON) and platform-wide request logs (DEMAND).  This package
-generates both from a :class:`~repro.world.World`:
+generates both from a :class:`~repro.world.build.World`:
 
 - :mod:`repro.cdn.netinfo` -- the Network Information API simulation,
   including its documented noise sources.
@@ -15,19 +15,3 @@ generates both from a :class:`~repro.world.World`:
   weekly aggregation that the DEMAND dataset normalizes into Demand
   Units.
 """
-
-from repro.cdn.beacon import BeaconConfig, BeaconGenerator
-from repro.cdn.demand import DemandConfig, DemandGenerator
-from repro.cdn.logs import BeaconHit, RequestRecord
-from repro.cdn.netinfo import ConnectionType, draw_connection_type
-
-__all__ = [
-    "BeaconConfig",
-    "BeaconGenerator",
-    "BeaconHit",
-    "ConnectionType",
-    "DemandConfig",
-    "DemandGenerator",
-    "RequestRecord",
-    "draw_connection_type",
-]

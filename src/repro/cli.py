@@ -26,21 +26,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.experiments.base import (
-    EXPERIMENT_MODULES,
-    get_runner,
-    run_all,
-    run_all_guarded,
-)
-from repro.lab import Lab
-from repro.runtime.checkpoint import (
-    CheckpointMismatch,
-    CheckpointStore,
-    atomic_writer,
-)
-from repro.runtime.guard import GuardConfig, OutcomeStatus
-from repro.runtime.manifest import RunManifest, dataset_digest
+if TYPE_CHECKING:
+    from repro.lab import Lab
 
 
 def _positive_int(text: str) -> int:
@@ -189,6 +178,8 @@ def _prof_sample_out(args: argparse.Namespace) -> Path:
 
 
 def _make_lab(args: argparse.Namespace) -> Lab:
+    from repro.lab import Lab
+
     return Lab.create(
         scale=args.scale,
         seed=args.seed,
@@ -241,6 +232,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments.base import EXPERIMENT_MODULES, get_runner
+
     try:
         runner = get_runner(args.id)
     except KeyError:
@@ -263,7 +256,11 @@ def _cmd_all(args: argparse.Namespace) -> int:
     manifest pinning seed/scale/dataset digests) and skipped on re-run.
     """
     from repro.analysis.report import render_table
+    from repro.experiments.base import run_all_guarded
     from repro.obs.alerts import AlertRuleError
+    from repro.runtime.checkpoint import CheckpointMismatch, CheckpointStore
+    from repro.runtime.guard import GuardConfig, OutcomeStatus
+    from repro.runtime.manifest import RunManifest, dataset_digest
 
     lab = _make_lab(args)
     store = None
@@ -355,6 +352,8 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     A run killed mid-write leaves either the previous file or nothing
     -- never a truncated JSONL that a later load would trip over.
     """
+    from repro.runtime.checkpoint import atomic_writer
+
     lab = _make_lab(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -859,6 +858,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.runtime.chaos import run_chaos
+    from repro.runtime.checkpoint import atomic_writer
     from repro.runtime.faults import (
         FaultPlanError,
         default_fault_plan,
@@ -1192,6 +1192,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """Write EXPERIMENTS.md: paper-vs-measured for every table/figure."""
     if args.health:
         return _report_health(args)
+    from repro.experiments.base import run_all
+
     lab = _make_lab(args)
     results = run_all(lab)
     ok_count = sum(1 for result in results.values() if result.all_ok)

@@ -32,33 +32,3 @@ licenses the speedup.  :mod:`repro.columnar.mmaptable` adds an
 mmap-backed :class:`~repro.core.ratios.RatioTable` snapshot so pool
 workers share read-only pages instead of pickling tables.
 """
-
-from repro.columnar.backend import (
-    BACKEND_ENV,
-    active_backend_name,
-    available_backends,
-    get_kernels,
-    kernels_for,
-    numpy_available,
-    set_backend,
-    use_backend,
-)
-from repro.columnar.batch import BeaconBatch, DemandBatch, SpotBatch
-from repro.columnar.mmaptable import MmapRatioTable, open_mmap, save_mmap
-
-__all__ = [
-    "MmapRatioTable",
-    "open_mmap",
-    "save_mmap",
-    "BACKEND_ENV",
-    "active_backend_name",
-    "available_backends",
-    "get_kernels",
-    "kernels_for",
-    "numpy_available",
-    "set_backend",
-    "use_backend",
-    "BeaconBatch",
-    "DemandBatch",
-    "SpotBatch",
-]

@@ -14,58 +14,3 @@
 - :mod:`repro.core.pipeline` -- the :class:`CellSpotter` facade tying
   the stages together.
 """
-
-from repro.core.asn_classifier import (
-    ASFilterConfig,
-    ASFilterResult,
-    CandidateAS,
-    identify_cellular_ases,
-)
-from repro.core.classifier import (
-    ClassificationResult,
-    SubnetClassifier,
-)
-from repro.core.confidence import (
-    ConfidentClassifier,
-    Verdict,
-    wilson_interval,
-)
-from repro.core.export import CellularPrefixList, PrefixEntry
-from repro.core.mixed import (
-    DEDICATED_CFD_CUTOFF,
-    OperatorClass,
-    OperatorProfile,
-    classify_operator,
-    operator_profiles,
-)
-from repro.core.pipeline import CellSpotter, CellSpotterResult
-from repro.core.ratios import RatioRecord, RatioTable
-from repro.core.thresholds import ThresholdSweep, sweep_thresholds
-from repro.core.validation import CarrierValidation, validate_against_carrier
-
-__all__ = [
-    "ASFilterConfig",
-    "ASFilterResult",
-    "CandidateAS",
-    "CarrierValidation",
-    "CellSpotter",
-    "CellularPrefixList",
-    "ConfidentClassifier",
-    "PrefixEntry",
-    "Verdict",
-    "wilson_interval",
-    "CellSpotterResult",
-    "ClassificationResult",
-    "DEDICATED_CFD_CUTOFF",
-    "OperatorClass",
-    "OperatorProfile",
-    "RatioRecord",
-    "RatioTable",
-    "SubnetClassifier",
-    "ThresholdSweep",
-    "classify_operator",
-    "identify_cellular_ases",
-    "operator_profiles",
-    "sweep_thresholds",
-    "validate_against_carrier",
-]

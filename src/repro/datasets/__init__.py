@@ -9,30 +9,3 @@
 - :mod:`repro.datasets.caida` -- the CAIDA-style AS classification used
   by AS filtering rule 3 (section 5.1).
 """
-
-from repro.datasets.beacon_dataset import BeaconDataset, SubnetBeaconCounts
-from repro.datasets.caida import ASClassificationDataset
-from repro.datasets.demand_dataset import (
-    DEMAND_UNIT_TOTAL,
-    DemandDataset,
-    du_to_fraction,
-    fraction_to_du,
-)
-from repro.datasets.groundtruth import (
-    CarrierGroundTruth,
-    carrier_archetypes,
-    ground_truth_for_asn,
-)
-
-__all__ = [
-    "ASClassificationDataset",
-    "BeaconDataset",
-    "CarrierGroundTruth",
-    "DEMAND_UNIT_TOTAL",
-    "DemandDataset",
-    "SubnetBeaconCounts",
-    "carrier_archetypes",
-    "du_to_fraction",
-    "fraction_to_du",
-    "ground_truth_for_asn",
-]

@@ -10,10 +10,12 @@ against noisy metadata exactly as in the real pipeline.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.net.asn import CAIDA_CLASS_OF_TYPE, CAIDAClass
-from repro.world.build import World
+
+if TYPE_CHECKING:
+    from repro.world.build import World
 
 #: Fraction of ASes missing from the classification.
 _UNKNOWN_RATE = 0.06

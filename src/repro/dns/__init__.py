@@ -14,25 +14,3 @@ DNS services (Figure 10).
   weighted by demand (after Chen et al.'s end-user mapping).
 - :mod:`repro.dns.analysis` -- the section 6.3 analyses.
 """
-
-from repro.dns.affinity import AffinityRecord, ResolverAffinity, build_affinity
-from repro.dns.analysis import (
-    public_dns_usage,
-    resolver_cellular_fractions,
-    resolver_distance_report,
-)
-from repro.dns.public import PUBLIC_SERVICES, PublicDNSService
-from repro.dns.resolvers import Resolver, deploy_resolvers
-
-__all__ = [
-    "AffinityRecord",
-    "PUBLIC_SERVICES",
-    "PublicDNSService",
-    "Resolver",
-    "ResolverAffinity",
-    "build_affinity",
-    "deploy_resolvers",
-    "public_dns_usage",
-    "resolver_cellular_fractions",
-    "resolver_distance_report",
-]

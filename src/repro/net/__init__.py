@@ -12,33 +12,3 @@ those analyses are built on:
   used for ground-truth lookups and prefix aggregation.
 - :mod:`repro.net.asn` -- AS records and AS type taxonomy.
 """
-
-from repro.net.addr import (
-    AddressError,
-    format_ip,
-    format_ipv4,
-    format_ipv6,
-    parse_ip,
-    parse_ipv4,
-    parse_ipv6,
-)
-from repro.net.asn import ASRecord, ASType
-from repro.net.prefix import Prefix, slash24_of, slash48_of, subnet_key
-from repro.net.trie import PrefixTrie
-
-__all__ = [
-    "AddressError",
-    "ASRecord",
-    "ASType",
-    "Prefix",
-    "PrefixTrie",
-    "format_ip",
-    "format_ipv4",
-    "format_ipv6",
-    "parse_ip",
-    "parse_ipv4",
-    "parse_ipv6",
-    "slash24_of",
-    "slash48_of",
-    "subnet_key",
-]

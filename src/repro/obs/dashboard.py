@@ -285,6 +285,7 @@ def health_from_sample(sample: Dict, source: str) -> Dict:
             base == "rss_peak_bytes"
             and labels.get("stage")
             and kind == "gauge"
+            and isinstance(value, (int, float))
         ):
             # Stage watermarks from this process and (federated)
             # workers fold into one heaviest-stages view.

@@ -449,10 +449,13 @@ class TimeSeriesReader:
         for sample in self.samples(start, end):
             metrics = sample.get("m", {})
             for name, points in rates.items():
-                kind, value = decode_payload(metrics.get(name))
-                if kind != "counter":
+                payload = metrics.get(name)
+                if decode_payload(payload)[0] != "counter":
                     continue
-                point = (sample["ts"], float(value))
+                value = payload_scalar(payload)
+                if value is None:
+                    continue  # a null counter is no data, as for alerts
+                point = (sample["ts"], value)
                 if name in previous:
                     rate = counter_rate(previous[name], point)
                     if rate is not None:

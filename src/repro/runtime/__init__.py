@@ -19,56 +19,3 @@ reproduction survive it:
 - :mod:`repro.runtime.logging` -- structured, run-id-tagged logging
   for long-running components (the serve loop, guards, quarantine).
 """
-
-from repro.runtime.checkpoint import CheckpointStore, atomic_write_text, atomic_writer
-from repro.runtime.guard import (
-    ExperimentOutcome,
-    GuardConfig,
-    OutcomeStatus,
-    TransientError,
-    run_guarded,
-)
-from repro.runtime.logging import (
-    configure_logging,
-    current_run_id,
-    get_logger,
-    log_event,
-    set_run_id,
-)
-from repro.runtime.manifest import RunManifest, dataset_digest
-from repro.runtime.policies import (
-    ErrorBudgetExceeded,
-    IngestError,
-    IngestFault,
-    IngestPolicy,
-    IngestStats,
-    PolicyMode,
-)
-from repro.runtime.quarantine import QuarantineRecord, QuarantineSink, read_quarantine
-
-__all__ = [
-    "CheckpointStore",
-    "ErrorBudgetExceeded",
-    "configure_logging",
-    "current_run_id",
-    "get_logger",
-    "log_event",
-    "set_run_id",
-    "ExperimentOutcome",
-    "GuardConfig",
-    "IngestError",
-    "IngestFault",
-    "IngestPolicy",
-    "IngestStats",
-    "OutcomeStatus",
-    "PolicyMode",
-    "QuarantineRecord",
-    "QuarantineSink",
-    "RunManifest",
-    "TransientError",
-    "atomic_write_text",
-    "atomic_writer",
-    "dataset_digest",
-    "read_quarantine",
-    "run_guarded",
-]

@@ -29,17 +29,3 @@ Modules:
   deadlines, worker respawn, graceful drain)
 - :mod:`repro.scale.loadgen`  -- heavy-tailed load generator
 """
-
-from repro.scale.snapshot import (
-    CatalogError,
-    GenerationInfo,
-    IndexHolder,
-    SnapshotCatalog,
-)
-
-__all__ = [
-    "CatalogError",
-    "GenerationInfo",
-    "IndexHolder",
-    "SnapshotCatalog",
-]

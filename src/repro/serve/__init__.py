@@ -22,15 +22,3 @@ cellular?* -- and this package turns the streaming engine
 wrappers over :class:`~repro.serve.service.CellSpotService`.  Metric
 primitives live in :mod:`repro.obs.metrics`.
 """
-
-from repro.serve.index import ClassificationIndex, IndexEntry, QueryResult
-from repro.serve.service import CellSpotService, ServiceConfig, service_metrics
-
-__all__ = [
-    "CellSpotService",
-    "ClassificationIndex",
-    "IndexEntry",
-    "QueryResult",
-    "ServiceConfig",
-    "service_metrics",
-]

@@ -10,31 +10,3 @@
 - :mod:`repro.stats.concentration` -- top-k shares, Gini coefficient,
   and rank-demand curves (Figures 7 and 8).
 """
-
-from repro.stats.cdf import EmpiricalCDF
-from repro.stats.concentration import (
-    gini_coefficient,
-    rank_share_curve,
-    top_k_share,
-)
-from repro.stats.confusion import BinaryConfusion
-from repro.stats.sampling import (
-    binomial,
-    bounded_pareto,
-    lognormal_weights,
-    poisson,
-    zipf_weights,
-)
-
-__all__ = [
-    "BinaryConfusion",
-    "EmpiricalCDF",
-    "binomial",
-    "poisson",
-    "bounded_pareto",
-    "gini_coefficient",
-    "lognormal_weights",
-    "rank_share_curve",
-    "top_k_share",
-    "zipf_weights",
-]

@@ -24,28 +24,3 @@ Everything downstream (beacons, demand logs, DNS) is generated *from*
 the world; the identification pipeline then has to recover the planted
 structure without peeking at truth labels.
 """
-
-from repro.world.build import World, WorldParams, build_world
-from repro.world.geo import (
-    CONTINENT_NAMES,
-    Continent,
-    Country,
-    Geography,
-    default_geography,
-    haversine_km,
-)
-from repro.world.profiles import CountryProfile, default_profiles
-
-__all__ = [
-    "CONTINENT_NAMES",
-    "Continent",
-    "Country",
-    "CountryProfile",
-    "Geography",
-    "World",
-    "WorldParams",
-    "build_world",
-    "default_geography",
-    "default_profiles",
-    "haversine_km",
-]

@@ -12,6 +12,7 @@ from repro.obs.dashboard import (
     ANSI_HOME_CLEAR,
     ANSI_SHOW_CURSOR,
     health_from_metrics_dump,
+    health_from_sample,
     health_from_timeseries,
     render_dashboard,
     render_health_report,
@@ -117,6 +118,15 @@ class TestDataSources:
         assert health["drift"]["last"]["psi"] == 0.6
         # Rate from the stored counter delta: 2000 events / 2 s.
         assert health["rates"]["events_per_s"] == pytest.approx(1000.0)
+
+    def test_null_stage_watermark_is_skipped(self):
+        health = health_from_sample({"ts": 1.0, "m": {
+            'rss_peak_bytes{stage="a"}': ["g", None],
+            'rss_peak_bytes{stage="b"}': ["g", 2048],
+        }}, "test")
+        assert health["resources"]["stages"] == [
+            {"stage": "b", "rss_peak_bytes": 2048}
+        ]
 
     def test_health_from_empty_timeseries_raises(self, tmp_path):
         with pytest.raises(OSError):

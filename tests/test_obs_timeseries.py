@@ -149,6 +149,16 @@ class TestReader:
         reader = TimeSeriesReader(tmp_path)
         assert reader.rate("events_total") == [(11.0, 40.0)]
 
+    def test_null_counter_is_no_data(self, tmp_path):
+        """A null counter value is skipped, not a ``TypeError``."""
+        self._store(tmp_path, [
+            {"ts": 1.0, "m": {"events_total": ["c", None]}},
+            {"ts": 2.0, "m": {"events_total": ["c", 10]}},
+            {"ts": 4.0, "m": {"events_total": ["c", 30]}},
+        ])
+        reader = TimeSeriesReader(tmp_path)
+        assert reader.rate("events_total") == [(4.0, 10.0)]
+
     def test_empty_directory_reads_empty(self, tmp_path):
         reader = TimeSeriesReader(tmp_path / "nothing")
         assert list(reader.samples()) == []
