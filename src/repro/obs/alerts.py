@@ -368,13 +368,18 @@ def default_rules() -> List[AlertRule]:
             name="worker-latency-skew",
             kind="skew",
             metric="scale_worker_query_latency_seconds",
-            q=0.99,
+            # The median, not the tail: a freshly respawned replica's
+            # p99 over its first few hundred lookups is set by two or
+            # three scheduler stalls and would page on noise; a sick
+            # replica is slow on most lookups, so its median moves.
+            q=0.5,
             op=">",
             threshold=4.0,
             for_s=1.0,
-            description="one worker's p99 lookup latency diverging 4x "
-                        "from the fleet median (federated per-worker "
-                        "series) -- a sick replica, not plane-wide load",
+            description="one worker's median lookup latency diverging "
+                        "4x from the rest of the fleet (federated "
+                        "per-worker series) -- a sick replica, not "
+                        "plane-wide load",
         ),
         AlertRule(
             name="memory-budget",

@@ -182,6 +182,30 @@ class TestWorkerLatencySkew:
         assert skew.metric == "scale_worker_query_latency_seconds"
         assert skew.for_s > 0
 
+    def test_default_rule_ignores_a_fresh_replicas_tail(self):
+        # A replica respawned a moment ago has ~200 lookups, so two
+        # stalled ones set its p99; its median is the fleet's.  A sick
+        # (drilled 5 ms/lookup) replica moves the median.
+        (rule,) = [r for r in default_rules() if r.name == "worker-latency-skew"]
+        engine = AlertEngine([rule])
+        key = "scale_worker_query_latency_seconds"
+
+        def sample(ts, fresh):
+            return {"ts": ts, "m": {
+                tag_metric(key, worker="0"): fresh,
+                tag_metric(key, worker="1"): ["h", 1400, 0.04, 2.5e-5, 2.5e-4],
+            }}
+
+        sick = ["h", 32, 0.2, 0.005, 0.025]
+        engine.observe(sample(1.0, sick))
+        engine.observe(sample(2.5, sick))
+        assert engine.snapshot()[0]["state"] == "firing"
+        fresh = ["h", 160, 0.01, 2.5e-5, 0.0025]
+        engine.observe(sample(3.0, fresh))
+        (state,) = engine.snapshot()
+        assert state["state"] == "ok"
+        assert state["value"] == pytest.approx(1.0)
+
 
 @pytest.fixture()
 def obs_dir(tmp_path):
