@@ -4,10 +4,9 @@ The batch census paths run their per-row work as batch-at-a-time
 columnar kernels: the sharded and cached pipelines
 (:mod:`repro.parallel.pipeline`) classify each shard with one
 ``spot_batch`` call, prefix-hash partition with the vectorized shard
-index, and restore dataset order with one argsort; ``RatioTable.merge``
-and the demand sums group-reduce on them too.  Per-hit ingest is not
-columnar: the batch dataset and the stream's windows fold one hit at a
-time (:func:`repro.datasets.beacon_dataset.fold_hit`).  Two
+index, and restore dataset order with one argsort.  Per-hit ingest
+is not columnar: the batch dataset and the stream's windows fold one
+hit at a time (:func:`repro.datasets.beacon_dataset.fold_hit`).  Two
 interchangeable backends implement one kernel surface:
 
 :mod:`repro.columnar.kernels_np`

@@ -47,13 +47,6 @@ def numpy_available() -> bool:
     return importlib.util.find_spec("numpy") is not None
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this interpreter, fastest first."""
-    if numpy_available():
-        return ("numpy", "python")
-    return ("python",)
-
-
 def _normalize(name: str) -> str:
     cleaned = name.strip().lower()
     if cleaned not in BACKEND_CHOICES:

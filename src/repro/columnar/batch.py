@@ -4,8 +4,8 @@ A record batch is a set of parallel columns -- backend-native integer
 / float buffers plus plain Python lists for strings -- with one row
 per record.  128-bit prefix values are split into two unsigned 64-bit
 halves (``value_hi`` / ``value_lo``) so both backends index them with
-fixed-width arithmetic; :meth:`BeaconBatch.prefix_at` reassembles the
-:class:`~repro.net.prefix.Prefix` only at the Python-object boundary.
+fixed-width arithmetic; ``to_rows`` rejoins them into the full
+integer value only at the Python-object boundary.
 
 Batches know which backend built their columns (``backend``), so code
 that receives a pickled batch from a pool worker dispatches kernels by
@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.net.prefix import Prefix
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -78,13 +77,6 @@ class BeaconBatch:
     def key_columns(self) -> Tuple[Sequence[int], ...]:
         """Canonical subnet sort key: (family, value, length)."""
         return (self.family, self.value_hi, self.value_lo, self.length)
-
-    def prefix_at(self, row: int) -> Prefix:
-        return Prefix(
-            int(self.family[row]),
-            _join_value(int(self.value_hi[row]), int(self.value_lo[row])),
-            int(self.length[row]),
-        )
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple], backend: str) -> "BeaconBatch":

@@ -14,18 +14,13 @@ explicitly:
   both operands are exactly representable (``<= 2**53``); beyond that
   the kernel falls back to Python's correctly-rounded big-int
   division, which is what the serial classifier computes.
-* **Float summation order.**  numpy's ``add.reduce``/``reduceat`` use
-  pairwise summation, whose bits differ from the serial ``+=`` loops.
-  :func:`segment_sum_float_ordered` therefore accumulates each group
-  sequentially in stable-sort order -- slower than ``reduceat`` but
-  equal to the per-key accumulators of the row-wise code.
 * **Sort stability.**  ``np.lexsort`` is stable, so grouping
   permutations match the twin's ``sorted`` exactly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -177,54 +172,12 @@ def segment_sum_int(col, perm, starts) -> List[int]:
     return [int(v) for v in np.add.reduceat(ordered, starts)]
 
 
-def segment_sum_float_ordered(col, perm, starts) -> List[float]:
-    """Per-group float sums in sequential (stable-sort) order.
-
-    Deliberately *not* ``reduceat``: pairwise summation's bits differ
-    from the serial accumulators this must reproduce.
-    """
-    starts_list = [int(s) for s in starts]
-    ordered = np.asarray(col)[np.asarray(perm, dtype=np.intp)].tolist()
-    sums: List[float] = []
-    n = len(ordered)
-    for g, start in enumerate(starts_list):
-        stop = starts_list[g + 1] if g + 1 < len(starts_list) else n
-        total = 0.0
-        for position in range(start, stop):
-            total += ordered[position]
-        sums.append(total)
-    return sums
-
-
 def segment_first(col, perm, starts) -> list:
     starts = np.asarray(starts, dtype=np.intp)
     if len(starts) == 0:
         return []
     ordered = np.asarray(col)[np.asarray(perm, dtype=np.intp)]
     return ordered[starts].tolist()
-
-
-def segment_check_equal(col, perm, starts) -> Optional[int]:
-    """Original row index of the first value disagreeing with its
-    group head, else None.
-
-    "First" = smallest original row index (group heads are first-seen
-    thanks to sort stability), matching where the row-wise
-    accumulators notice a conflict.
-    """
-    perm = np.asarray(perm, dtype=np.intp)
-    starts = np.asarray(starts, dtype=np.intp)
-    n = len(perm)
-    if n == 0:
-        return None
-    ordered = np.asarray(col)[perm]
-    group_of = np.zeros(n, dtype=np.int64)
-    group_of[starts] = 1
-    group_of = np.cumsum(group_of) - 1
-    mismatch = np.flatnonzero(ordered != ordered[starts][group_of])
-    if len(mismatch) == 0:
-        return None
-    return int(perm[mismatch].min())
 
 
 # ---- shard hashing ---------------------------------------------------------

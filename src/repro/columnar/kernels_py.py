@@ -20,14 +20,14 @@ Column kinds:
 Grouping is stable-lexicographic-sort based: :func:`lex_argsort` +
 :func:`group_bounds` produce a permutation and run boundaries that the
 ``segment_*`` kernels consume.  Stability is load-bearing -- it is
-what makes per-group float accumulation order (and therefore the bits
-of every float sum) identical to the serial per-row loops.
+what makes each group's head its first-seen row and keeps a shard's
+rows in dataset order, exactly as the serial per-row loops see them.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 NAME = "python"
 
@@ -112,7 +112,7 @@ def lex_argsort(keys: Sequence[Sequence[int]]) -> List[int]:
     """Stable permutation sorting rows by ``keys`` (first = primary).
 
     Equal keys keep their original relative order -- the property the
-    float-summation-order guarantee rests on.
+    first-seen group heads rest on.
     """
     if not keys:
         return []
@@ -153,48 +153,9 @@ def segment_sum_int(
     return sums
 
 
-def segment_sum_float_ordered(
-    col, perm: Sequence[int], starts: Sequence[int]
-) -> List[float]:
-    """Per-group float sums, accumulated left-to-right in perm order.
-
-    Sequential ``+=`` -- not pairwise, not fsum -- because the serial
-    per-key accumulators this must be bit-identical to add that way.
-    """
-    sums: List[float] = []
-    for start, stop in _segments(perm, starts):
-        total = 0.0
-        for position in range(start, stop):
-            total += col[perm[position]]
-        sums.append(total)
-    return sums
-
-
 def segment_first(col, perm: Sequence[int], starts: Sequence[int]) -> list:
     """First (stable-order) value of each group."""
     return [col[perm[start]] for start in starts]
-
-
-def segment_check_equal(
-    col, perm: Sequence[int], starts: Sequence[int]
-) -> Optional[int]:
-    """Original row index of the first value disagreeing with its
-    group head, else None.
-
-    "First" means smallest original row index -- the row at which a
-    row-wise accumulator iterating in dataset order would notice the
-    conflict (group heads are first-seen thanks to sort stability).
-    """
-    first: Optional[int] = None
-    for start, stop in _segments(perm, starts):
-        head = col[perm[start]]
-        for position in range(start + 1, stop):
-            if col[perm[position]] != head:
-                row = perm[position]
-                if first is None or row < first:
-                    first = row
-                break
-    return first
 
 
 # ---- shard hashing ---------------------------------------------------------

@@ -22,8 +22,9 @@ On-disk layout (offsets in bytes, all integers little-endian)::
 
 Rows are stored in canonical subnet order ``(family, value, length)``
 so lookups can bisect; iteration also yields canonical order (the
-order ``RatioTable.merge`` produces).  Counts must fit in int64 --
-tables that promoted past 2**63 refuse to snapshot rather than wrap.
+order ``ops.group_accumulate_beacons`` groups subnets in).  Counts
+must fit in int64 -- tables that promoted past 2**63 refuse to
+snapshot rather than wrap.
 """
 
 from __future__ import annotations

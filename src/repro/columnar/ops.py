@@ -10,9 +10,7 @@ pool worker pickled back always reads the columns the way they were
 written.
 
 Ordering contract (the bit-identity currency of this codebase):
-grouped subnets come back sorted by ``(family, value, length)`` --
-the canonical order ``RatioTable.merge`` and the dataset ``merge``
-monoids pin.
+grouped subnets come back sorted by ``(family, value, length)``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.backend import kernels_for
-from repro.columnar.batch import BeaconBatch, DemandBatch, SpotBatch, _join_value
+from repro.columnar.batch import BeaconBatch, SpotBatch, _join_value
 
 
 def spot_batch(
@@ -73,37 +71,16 @@ def sort_spot_by_idx(spot: SpotBatch) -> SpotBatch:
     return spot.take(k.lex_argsort([spot.batch.idx]))
 
 
-def group_accumulate_beacons(
-    batch: BeaconBatch, check_meta: bool = False
-) -> BeaconBatch:
+def group_accumulate_beacons(batch: BeaconBatch) -> BeaconBatch:
     """Group by subnet in canonical order, summing ``hits``/``api``/``cell``.
 
     Metadata (``asn``/``country``) is taken from each group's first
-    row; with ``check_meta`` a disagreement inside any group raises
-    the same ``conflicting metadata for <subnet>`` error the row-wise
-    merges raise.  ``idx`` carries each group's first row index.
+    row.  ``idx`` carries each group's first row index.
     """
     k = kernels_for(batch.backend)
     keys = batch.key_columns
     perm = k.lex_argsort(list(keys))
     starts = k.group_bounds(list(keys), perm)
-
-    if check_meta:
-        candidates = [
-            row
-            for row in (
-                k.segment_check_equal(batch.asn, perm, starts),
-                _first_country_conflict(batch.country, perm, starts),
-            )
-            if row is not None
-        ]
-        if candidates:
-            # Raise for the earliest conflicting row in dataset order,
-            # like the row-wise accumulators that notice mid-iteration.
-            raise ValueError(
-                f"conflicting metadata for {batch.prefix_at(min(candidates))}"
-            )
-
     hit_sums = k.segment_sum_int(batch.hits, perm, starts)
     api_sums = k.segment_sum_int(batch.api, perm, starts)
     cell_sums = k.segment_sum_int(batch.cell, perm, starts)
@@ -122,26 +99,6 @@ def group_accumulate_beacons(
         api=k.int_col(api_sums),
         cell=k.int_col(cell_sums),
     )
-
-
-def _first_country_conflict(
-    country: List[str], perm, starts
-) -> Optional[int]:
-    """Smallest original row whose country disagrees with its group
-    head (Python strings never enter the array kernels)."""
-    n = len(perm)
-    starts_list = [int(s) for s in starts]
-    first: Optional[int] = None
-    for g, start in enumerate(starts_list):
-        stop = starts_list[g + 1] if g + 1 < len(starts_list) else n
-        head = country[int(perm[start])]
-        for position in range(start + 1, stop):
-            if country[int(perm[position])] != head:
-                row = int(perm[position])
-                if first is None or row < first:
-                    first = row
-                break
-    return first
 
 
 def find_duplicate_key(batch) -> Optional[Tuple[int, int, int]]:
@@ -200,18 +157,3 @@ def partition_batch(batch, shards: int) -> list:
         stop = starts_list[g + 1] if g + 1 < len(starts_list) else n
         parts[shard] = batch.take(k.take(perm, k.index_col(range(start, stop))))
     return parts
-
-
-def demand_du_by_asn(batch: DemandBatch) -> Dict[int, float]:
-    """Per-AS demand sums, bit-identical to the serial accumulators.
-
-    Stable grouping + sequential within-group accumulation reproduce
-    the per-key ``+=`` order of ``DemandDataset.du_by_asn`` exactly;
-    output dict is in ascending-ASN order.
-    """
-    k = kernels_for(batch.backend)
-    perm = k.lex_argsort([batch.asn])
-    starts = k.group_bounds([batch.asn], perm)
-    uniq = k.segment_first(batch.asn, perm, starts)
-    sums = k.segment_sum_float_ordered(batch.du, perm, starts)
-    return {int(a): float(s) for a, s in zip(uniq, sums)}

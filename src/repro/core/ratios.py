@@ -78,62 +78,6 @@ class RatioTable:
         return table
 
     @classmethod
-    def merge(cls, tables: Iterable["RatioTable"]) -> "RatioTable":
-        """Reduce per-shard tables into one (associative + commutative).
-
-        Subnets appearing in several tables have their counts summed
-        (per-subnet metadata must agree); the merged table is in
-        canonical subnet order, so any grouping or ordering of the
-        same shards reduces to the *identical* table -- the algebra
-        the parallel layer's shard/merge model rests on:
-
-        ``merge([a, b]) == merge([b, a])`` and
-        ``merge([merge([a, b]), c]) == merge([a, merge([b, c])])``.
-
-        Runs as one columnar group-reduce (:mod:`repro.columnar`):
-        records from all tables become one record batch, a stable
-        lexsort groups equal subnets, and exact integer segment sums
-        total each group.
-        """
-        from repro.columnar import ops as columnar_ops
-        from repro.columnar.backend import active_backend_name
-        from repro.columnar.batch import BeaconBatch
-
-        rows = []
-        index = 0
-        for table in tables:
-            for r in table:
-                rows.append(
-                    (
-                        index,
-                        r.subnet.family,
-                        r.subnet.value,
-                        r.subnet.length,
-                        r.asn,
-                        r.country,
-                        r.hits,
-                        r.api_hits,
-                        r.cellular_hits,
-                    )
-                )
-                index += 1
-        batch = BeaconBatch.from_rows(rows, active_backend_name())
-        merged = columnar_ops.group_accumulate_beacons(batch, check_meta=True)
-        return cls(
-            RatioRecord(
-                subnet=Prefix(family, value, length),
-                asn=asn,
-                country=country,
-                api_hits=api,
-                cellular_hits=cell,
-                hits=hits,
-            )
-            for _idx, family, value, length, asn, country, hits, api, cell in (
-                merged.to_rows()
-            )
-        )
-
-    @classmethod
     def from_beacons(
         cls, beacons: Iterable[SubnetBeaconCounts], min_api_hits: int = 1
     ) -> "RatioTable":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import IO, Dict, Iterator, List, Optional, Tuple
 
 from repro.net.prefix import Prefix
 from repro.world.population import Browser
@@ -194,49 +194,6 @@ class BeaconDataset:
                 cellular_labeled=hit.is_cellular_labeled,
             )
         return dataset
-
-    @classmethod
-    def merge(cls, datasets: Iterable["BeaconDataset"]) -> "BeaconDataset":
-        """Reduce per-shard datasets into one (associative + commutative).
-
-        Subnets present in several shards have their counts summed via
-        :meth:`add_counts`; browser counters add.  The merged dataset
-        is in canonical subnet order, so any grouping or ordering of
-        the same shards reduces to the identical dataset.  All inputs
-        must cover the same collection month.
-        """
-        parts = list(datasets)
-        if not parts:
-            raise ValueError("nothing to merge")
-        months = {part.month for part in parts}
-        if len(months) > 1:
-            raise ValueError(f"cannot merge across months: {sorted(months)}")
-        merged = cls(month=parts[0].month)
-        for part in parts:
-            for browser, (hits, api) in part.browser_counts.items():
-                merged.observe_browser_batch(browser, hits, api)
-            for counts in part:
-                merged.add_counts(
-                    SubnetBeaconCounts(
-                        subnet=counts.subnet,
-                        asn=counts.asn,
-                        country=counts.country,
-                        hits=counts.hits,
-                        api_hits=counts.api_hits,
-                        cellular_hits=counts.cellular_hits,
-                    )
-                )
-        merged._by_subnet = {
-            counts.subnet: counts
-            for counts in sorted(
-                merged._by_subnet.values(),
-                key=lambda c: (c.subnet.family, c.subnet.value, c.subnet.length),
-            )
-        }
-        merged.browser_counts = dict(
-            sorted(merged.browser_counts.items(), key=lambda kv: kv[0].value)
-        )
-        return merged
 
     # ---- aggregate views -------------------------------------------------
 

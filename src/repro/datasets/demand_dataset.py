@@ -104,37 +104,6 @@ class DemandDataset:
             raise ValueError(f"duplicate demand subnet {record.subnet}")
         self._by_subnet[record.subnet] = record
 
-    @classmethod
-    def merge(cls, datasets: Iterable["DemandDataset"]) -> "DemandDataset":
-        """Reduce per-shard demand maps into one (associative + commutative).
-
-        Shards must be key-disjoint (prefix-hash sharding guarantees
-        it; a duplicate subnet raises).  The merged dataset is in
-        canonical subnet order, so any grouping or ordering of the
-        same shards reduces to the identical dataset.  All inputs
-        must share one collection window.
-        """
-        parts = list(datasets)
-        if not parts:
-            raise ValueError("nothing to merge")
-        windows = {part.window_days for part in parts}
-        if len(windows) > 1:
-            raise ValueError(
-                f"cannot merge across windows: {sorted(windows)}"
-            )
-        merged = cls(window_days=parts[0].window_days)
-        for part in parts:
-            for record in part:
-                merged._add(record)
-        merged._by_subnet = {
-            record.subnet: record
-            for record in sorted(
-                merged._by_subnet.values(),
-                key=lambda r: (r.subnet.family, r.subnet.value, r.subnet.length),
-            )
-        }
-        return merged
-
     # ---- lookups -----------------------------------------------------------
 
     def __len__(self) -> int:

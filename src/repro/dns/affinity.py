@@ -63,12 +63,8 @@ class ResolverAffinity:
 
     def __init__(self, records: Iterable[AffinityRecord]) -> None:
         self._records = list(records)
-        self._by_resolver: Dict[str, List[AffinityRecord]] = {}
         self._by_asn: Dict[int, List[AffinityRecord]] = {}
         for record in self._records:
-            self._by_resolver.setdefault(
-                record.resolver.resolver_id, []
-            ).append(record)
             self._by_asn.setdefault(record.asn, []).append(record)
 
     def __len__(self) -> int:
@@ -76,9 +72,6 @@ class ResolverAffinity:
 
     def __iter__(self) -> Iterator[AffinityRecord]:
         return iter(self._records)
-
-    def records_of_resolver(self, resolver_id: str) -> List[AffinityRecord]:
-        return self._by_resolver.get(resolver_id, [])
 
     def records_of_asn(self, asn: int) -> List[AffinityRecord]:
         return self._by_asn.get(asn, [])

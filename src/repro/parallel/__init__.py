@@ -16,42 +16,3 @@ runs": a digest-keyed on-disk cache of columnar dataset shards, which
 :func:`repro.parallel.pipeline.run_from_entry` fuses straight into
 pipeline results without rebuilding the datasets at all.
 """
-
-from repro.parallel.cache import (
-    CACHE_FORMAT_VERSION,
-    DEFAULT_SHARDS,
-    CacheCorruption,
-    CacheEntry,
-    DatasetCache,
-    cache_key,
-)
-from repro.parallel.executor import ShardExecutor, ShardPlan, available_cpus
-from repro.parallel.pipeline import run_from_entry, run_sharded
-from repro.parallel.sharding import (
-    partition_beacons,
-    partition_demand,
-    partition_rows,
-    shard_of,
-    stable_shard_index,
-)
-from repro.parallel.views import DemandMap
-
-__all__ = [
-    "CACHE_FORMAT_VERSION",
-    "DEFAULT_SHARDS",
-    "CacheCorruption",
-    "CacheEntry",
-    "DatasetCache",
-    "DemandMap",
-    "ShardExecutor",
-    "ShardPlan",
-    "available_cpus",
-    "cache_key",
-    "partition_beacons",
-    "partition_demand",
-    "partition_rows",
-    "run_from_entry",
-    "run_sharded",
-    "shard_of",
-    "stable_shard_index",
-]

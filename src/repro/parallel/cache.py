@@ -193,27 +193,6 @@ def iter_shard_batches(
             yield columns
 
 
-def load_shard_columns(
-    path: Union[str, Path], sha256_hex: str
-) -> Dict[str, list]:
-    """Read one shard file whole, verifying its recorded digest.
-
-    Concatenates the file's record batches into one column dict -- the
-    materializing counterpart of :func:`iter_shard_batches` for
-    callers that want everything at once.
-    """
-    merged: Optional[Dict[str, list]] = None
-    for columns in iter_shard_batches(path, sha256_hex):
-        if merged is None:
-            merged = {name: list(values) for name, values in columns.items()}
-            continue
-        for name, values in columns.items():
-            merged.setdefault(name, []).extend(values)
-    if merged is None:
-        raise CacheCorruption(f"shard file {path} holds no record batches")
-    return merged
-
-
 def _columns_payload(
     rows: Sequence[tuple], names: Sequence[str]
 ) -> str:

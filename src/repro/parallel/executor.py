@@ -23,7 +23,7 @@ Each shard is submitted individually and tracked:
   exponential backoff, up to ``max_retries`` attempts per shard;
 * ``BrokenProcessPool`` (a SIGKILL'd or OOM'd worker) rebuilds the
   pool and resubmits *only the incomplete shards* -- safe because the
-  merge algebra is order-restoring and shard functions are pure;
+  parent restores dataset order by index and shard functions are pure;
 * ``shard_timeout_s`` bounds each shard's submission-to-completion
   wall clock; a hung worker is reclaimed by rebuilding the pool and
   the timed-out shard retried against its budget;

@@ -4,7 +4,7 @@ The census keyspace is the set of /24 and /48 aggregation prefixes
 (millions of them at paper scale), and every pipeline stage up to AS
 identification is keyed by that prefix.  Sharding therefore hashes the
 *prefix* -- all records of one subnet land in exactly one shard, which
-is what makes per-shard ratio tables and demand maps mergeable without
+is what lets the parent concatenate per-shard outputs without
 cross-shard reconciliation.
 
 The hash is a hand-rolled 64-bit FNV-1a over the prefix's

@@ -193,6 +193,13 @@ def _stop_process(process, timeout_s: float = 2.0) -> None:
     process.join(timeout=timeout_s)
 
 
+def _reap_process(process) -> None:
+    """Give a child 2 s to exit on its own, then stop it."""
+    process.join(timeout=2.0)
+    if process.is_alive():
+        _stop_process(process, timeout_s=1.0)
+
+
 class WorkerHandle:
     """One worker process plus its exclusive front connection."""
 
@@ -1052,15 +1059,22 @@ class ServingPlane:
                 await self._reaper_task
             except asyncio.CancelledError:
                 pass
-        for handle in self._workers:
-            if handle.alive:
-                handle.alive = False
-                handle.close_connection()  # EOF: workers exit cleanly
-        for handle in self._workers:
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
+        closing = [handle for handle in self._workers if handle.alive]
+        for handle in closing:
+            handle.alive = False
+            handle.close_connection()  # EOF: workers exit cleanly
+        for handle in closing:
+            try:
+                await handle.writer.wait_closed()
+            except OSError:  # the worker already dropped the connection
+                pass
+        # Reap off the loop and all at once: a child slow to exit must
+        # not stall the loop or the other reaps.
+        reaps = [
+            asyncio.to_thread(_reap_process, handle.process)
+            for handle in self._workers
+        ]
         if self.builder_process is not None:
-            _stop_process(self.builder_process)
+            reaps.append(asyncio.to_thread(_stop_process, self.builder_process))
+        await asyncio.gather(*reaps)
         self.metrics.get("scale_workers_alive").set(0.0)

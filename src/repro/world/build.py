@@ -84,9 +84,6 @@ class World:
     def subnets(self) -> List[SubnetPlan]:
         return self.allocation.subnets
 
-    def country_of_asn(self, asn: int) -> str:
-        return self.topology.registry.get(asn).country
-
     def rng(self, purpose: str) -> random.Random:
         """A deterministic RNG namespaced under this world's seed."""
         return random.Random(f"{self.params.seed}:{purpose}")

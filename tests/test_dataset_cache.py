@@ -25,7 +25,6 @@ from repro.parallel.cache import (
     DatasetCache,
     cache_key,
     iter_shard_batches,
-    load_shard_columns,
 )
 from repro.runtime.manifest import dataset_digest
 from repro.runtime.quarantine import read_quarantine
@@ -220,21 +219,21 @@ def test_repeated_corruption_never_collides(cache, datasets):
     assert len(quarantined_dirs) == 3
 
 
-def test_load_shard_columns_verifies_digest(cache, datasets, tmp_path):
+def test_shard_batches_verify_digest(cache, datasets, tmp_path):
     key, entry = _store(cache, datasets)
     path, sha = entry.beacon_shards[0]
-    assert isinstance(load_shard_columns(path, sha), dict)
+    assert all(isinstance(b, dict) for b in iter_shard_batches(path, sha))
     with pytest.raises(CacheCorruption, match="digest mismatch"):
-        load_shard_columns(path, "0" * 64)
+        list(iter_shard_batches(path, "0" * 64))
     with pytest.raises(CacheCorruption, match="unreadable"):
-        load_shard_columns(tmp_path / "nope.json", sha)
+        list(iter_shard_batches(tmp_path / "nope.json", sha))
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     import hashlib
 
     digest = hashlib.sha256(bad.read_bytes()).hexdigest()
     with pytest.raises(CacheCorruption, match="JSON object"):
-        load_shard_columns(bad, digest)
+        list(iter_shard_batches(bad, digest))
 
 
 # ---- crash-consistency ------------------------------------------------------
@@ -323,9 +322,8 @@ def test_shard_files_hold_bounded_record_batches(tmp_path):
     ]
     assert sizes == [SHARD_BATCH_ROWS, SHARD_BATCH_ROWS, 100]
     # Batches concatenate back to the full shard, in order.
-    merged = load_shard_columns(path, digest)
-    assert len(merged["idx"]) == subnets
-    assert merged["idx"] == list(range(subnets))
+    idx = [i for batch in iter_shard_batches(path, digest) for i in batch["idx"]]
+    assert idx == list(range(subnets))
 
 
 def test_single_object_shard_file_still_reads(tmp_path):

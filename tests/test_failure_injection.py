@@ -296,6 +296,7 @@ class TestCrashThenResume:
         out = capsys.readouterr().out
         assert code == 1  # the injected failure is reported
         assert "injected failure" in out
+        assert "1 failed" in out
         assert "table8" in out  # later experiments still ran
         store = CheckpointStore(ckpt)
         assert "fig1" not in store.completed()

@@ -102,7 +102,9 @@ def test_partition_membership_ignores_row_order(lab):
 def test_demand_rows_carry_dataset_order(lab):
     rows = list(demand_rows(lab.demand))
     assert [row[0] for row in rows] == list(range(len(lab.demand)))
-    assert sum(len(p) for p in partition_demand(lab.demand, 3)) == len(rows)
+    parts = partition_demand(lab.demand, 3)
+    assert sum(len(p) for p in parts) == len(rows)
+    assert sorted(row for part in parts for row in part) == sorted(rows)
 
 
 # ---- plans ------------------------------------------------------------------

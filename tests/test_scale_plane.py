@@ -27,6 +27,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cdn.beacon import BeaconConfig
+from repro.obs.flight import read_flight_ring
 from repro.obs.metrics import MetricsRegistry, merge_histogram_dicts
 from repro.scale.plane import (
     PlaneConfig,
@@ -606,6 +607,26 @@ def test_plane_differential_and_respawn(engine, probes, tmp_path):
     )
 
 
+def test_drain_lets_workers_exit_on_eof(engine, tmp_path):
+    """Drain delivers each worker its EOF: every worker exits 0 on
+    its own and unlinks its socket, none is SIGTERMed."""
+    catalog = SnapshotCatalog(tmp_path / "cat")
+    catalog.publish(engine.ratio_table(1))
+    plane = ServingPlane(
+        tmp_path / "cat",
+        config=PlaneConfig(workers=2, startup_timeout_s=60.0),
+        registry=MetricsRegistry(),
+    )
+
+    async def scenario():
+        await plane.start()
+        await plane._drain()
+
+    asyncio.run(scenario())
+    assert [h.process.exitcode for h in plane._workers] == [0, 0]
+    assert not list(catalog.root.glob("worker-*.sock"))
+
+
 # ---- distributed observability over real worker processes ----------------
 
 
@@ -909,7 +930,8 @@ def scale_drill(tmp_path_factory):
             #    can move pending -> firing on the federated series.
             time.sleep(2.2)
             # 3. Overload burst with a mid-burst SIGKILL of the drilled
-            #    worker; the reaper respawns the slot without the drill.
+            #    worker, fired while its flight ring shows a request in
+            #    flight; the reaper respawns the slot without the drill.
             pid_file = root / "cat" / "workers.pids"
             drill.pids = [int(t) for t in pid_file.read_text().split()]
             burst = loadgen(
@@ -917,7 +939,15 @@ def scale_drill(tmp_path_factory):
                 "--overload-concurrency", "64", "--report", "lg2.json",
                 wait=False,
             )
-            time.sleep(0.5)
+            ring = root / "cat-obs" / "worker-0.fr"
+            deadline = time.monotonic() + 30.0
+            while True:
+                records = read_flight_ring(ring)["records"]
+                if records and records[-1]["outcome"] == "inflight":
+                    break
+                if time.monotonic() >= deadline or burst.poll() is not None:
+                    pytest.fail("worker 0 never had a request in flight")
+                time.sleep(0.005)
             os.kill(drill.pids[0], signal.SIGKILL)
             deadline = time.monotonic() + 30.0
             while True:
@@ -977,6 +1007,7 @@ class TestServingScaleDrill:
         assert artifact["slot"] == 0, artifact
         dying = artifact.get("dying_request") or {}
         assert str(dying.get("rid", "")).startswith("req-"), artifact
+        assert dying["outcome"] == "inflight", artifact
 
     def test_sigterm_drains_to_exit_zero(self, scale_drill):
         assert scale_drill.exit_code == 0, scale_drill.stderr[-2000:]
