@@ -14,7 +14,7 @@ Two measurements:
    ``maybe_chaotic`` (the serve-path shape) vs. the raw iterator --
    best-of-``ROUNDS`` interleaved arms, ratio pinned < 2%;
 2. the absolute cost of an inactive ``fault_point`` (ns/call over a
-   million calls) -- recorded for trend tracking, pinned only at a
+   million calls) -- printed for trend tracking, pinned only at a
    generous 2 microseconds so pathological regressions (e.g. an
    accidental lock or allocation on the fast path) still fail loudly.
 """
@@ -43,7 +43,7 @@ def _timed(fn) -> float:
     return time.perf_counter() - started
 
 
-def test_dormant_chaos_ingest_overhead(beacon_hits, bench_record):
+def test_dormant_chaos_ingest_overhead(beacon_hits):
     assert active_plan() is None, "benchmark requires no active plan"
     policy = WindowPolicy(window_events=4096)
 
@@ -89,12 +89,10 @@ def test_dormant_chaos_ingest_overhead(beacon_hits, bench_record):
         f"{ratio:.3f}x over {ROUNDS} paired rounds "
         f"(spread {ratios[0]:.3f}-{ratios[-1]:.3f})"
     )
-    bench_record("dormant_ingest_overhead_ratio", ratio, unit="ratio",
-                 higher_is_better=False, threshold=OVERHEAD_CEILING)
     assert ratio < OVERHEAD_CEILING
 
 
-def test_inactive_fault_point_cost(bench_record):
+def test_inactive_fault_point_cost():
     assert active_plan() is None, "benchmark requires no active plan"
 
     def hammer():
@@ -108,7 +106,4 @@ def test_inactive_fault_point_cost(bench_record):
         f"\ninactive fault_point: {per_call_us:.3f} us/call "
         f"({FAULT_POINT_CALLS:,} calls in {best * 1000:.1f} ms)"
     )
-    bench_record("inactive_fault_point_us", per_call_us, unit="us",
-                 higher_is_better=False,
-                 threshold=FAULT_POINT_CEILING_US)
     assert per_call_us < FAULT_POINT_CEILING_US

@@ -8,9 +8,9 @@ loops they replaced -- and beat the frozen row-wise reference by
 (``tests/test_columnar_kernels.py``) licenses the speedup: these
 numbers only count because the kernels are proven bit-identical.
 
-The report records which backend produced each number (in the metric
-unit, ``events/s[numpy]`` vs ``events/s[python]``), so a bench-diff
-between reports from differently-equipped machines is legible.  The
+Each printed number names the backend that produced it
+(``spot[numpy]`` vs ``spot[python]``), so output from
+differently-equipped machines is legible side by side.  The
 pure-Python twin is measured but not floored: it exists for
 portability, not speed.
 """
@@ -76,7 +76,7 @@ def rows():
     return _synthetic_rows(N_ROWS)
 
 
-def test_classify_kernel_throughput(rows, bench_record):
+def test_classify_kernel_throughput(rows):
     backend = active_backend_name()
     batch = BeaconBatch.from_rows(rows, backend)
     best = _best_of(lambda: ops.spot_batch(batch, 3, 0.5))
@@ -85,11 +85,6 @@ def test_classify_kernel_throughput(rows, bench_record):
     print(f"\nspot[{backend}]: {len(rows):,} events in {best * 1000:.0f} ms "
           f"({events_per_s:,.0f} events/s, floor "
           f"{EVENTS_FLOOR:,} on numpy)")
-    bench_record(
-        "spot_events_per_s", events_per_s,
-        unit=f"events/s[{backend}]", higher_is_better=True,
-        threshold=EVENTS_FLOOR if floored else None,
-    )
     if floored:
         assert events_per_s >= EVENTS_FLOOR, (
             f"numpy classify at {events_per_s:,.0f} events/s "
@@ -97,7 +92,7 @@ def test_classify_kernel_throughput(rows, bench_record):
         )
 
 
-def test_group_accumulate_throughput(rows, bench_record):
+def test_group_accumulate_throughput(rows):
     backend = active_backend_name()
     batch = BeaconBatch.from_rows(rows, backend)
     best = _best_of(
@@ -105,26 +100,18 @@ def test_group_accumulate_throughput(rows, bench_record):
     )
     events_per_s = len(rows) / best
     print(f"\naccumulate[{backend}]: {events_per_s:,.0f} events/s")
-    bench_record(
-        "accumulate_events_per_s", events_per_s,
-        unit=f"events/s[{backend}]", higher_is_better=True,
-    )
 
 
-def test_ingest_batch_build_throughput(rows, bench_record):
+def test_ingest_batch_build_throughput(rows):
     """Row -> column conversion (the ingest boundary cost)."""
     backend = active_backend_name()
     best = _best_of(lambda: BeaconBatch.from_rows(rows, backend))
     events_per_s = len(rows) / best
     print(f"\nbatch build[{backend}]: {events_per_s:,.0f} events/s")
-    bench_record(
-        "batch_build_events_per_s", events_per_s,
-        unit=f"events/s[{backend}]", higher_is_better=True,
-    )
 
 
 @pytest.mark.skipif(not numpy_available(), reason="speedup pin needs numpy")
-def test_vectorized_beats_rowwise_reference(rows, bench_record):
+def test_vectorized_beats_rowwise_reference(rows):
     """The >= 3x claim, measured against the frozen per-row arm."""
     batch = BeaconBatch.from_rows(rows, "numpy")
 
@@ -144,8 +131,4 @@ def test_vectorized_beats_rowwise_reference(rows, bench_record):
     print(f"\ncolumnar {columnar_s * 1000:.0f} ms vs row-wise "
           f"{rowwise_s * 1000:.0f} ms: {speedup:.1f}x "
           f"(floor {SPEEDUP_FLOOR}x)")
-    bench_record(
-        "columnar_vs_rowwise_speedup", speedup, unit="ratio",
-        higher_is_better=True, threshold=SPEEDUP_FLOOR,
-    )
     assert speedup >= SPEEDUP_FLOOR

@@ -9,6 +9,7 @@ gracefully -- not catastrophically -- on dirty data.
 from __future__ import annotations
 
 import io
+import time
 
 import pytest
 
@@ -38,22 +39,19 @@ def _dump_text(corrupt_rate: float) -> "tuple[str, int]":
     return "\n".join(lines) + "\n", corrupted
 
 
-def _report(benchmark, label: str, lines: int,
-            bench_record=None, metric=None) -> None:
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None:  # absent under --benchmark-disable
-        seconds = stats.stats.mean
-        print(f"\n{label}: {lines:,} lines in {seconds * 1000:.0f} ms "
-              f"({lines / seconds:,.0f} lines/s)")
-        if bench_record is not None and metric is not None:
-            bench_record(metric, lines / seconds, unit="op/s",
-                         higher_is_better=True)
+def _timed_load(load, label: str, lines: int):
+    """Run ``load`` once and print its lines/s; return its result."""
+    started = time.perf_counter()
+    result = load()
+    seconds = time.perf_counter() - started
+    print(f"\n{label}: {lines:,} lines in {seconds * 1000:.0f} ms "
+          f"({lines / seconds:,.0f} lines/s)")
+    return result
 
 
 @pytest.mark.parametrize("corrupt_rate", [0.0, 0.01, 0.10],
                          ids=["clean", "1pct", "10pct"])
-def test_ingestion_throughput_with_policy(benchmark, corrupt_rate,
-                                          bench_record):
+def test_ingestion_throughput_with_policy(corrupt_rate):
     text, corrupted = _dump_text(corrupt_rate)
 
     def load():
@@ -61,15 +59,14 @@ def test_ingestion_throughput_with_policy(benchmark, corrupt_rate,
         dataset = BeaconDataset.load(io.StringIO(text), policy=policy)
         return dataset, policy
 
-    dataset, policy = benchmark(load)
+    dataset, policy = _timed_load(
+        load, f"skip policy @ {100 * corrupt_rate:g}% corrupt", SUBNETS
+    )
     assert len(dataset) == SUBNETS - corrupted
     assert policy.stats.rejected_lines == corrupted
-    _report(benchmark, f"skip policy @ {100 * corrupt_rate:g}% corrupt",
-            SUBNETS, bench_record,
-            f"ingest_lines_per_s_{100 * corrupt_rate:g}pct_corrupt")
 
 
-def test_ingestion_throughput_raw_baseline(benchmark, bench_record):
+def test_ingestion_throughput_raw_baseline():
     """The pre-policy load loop: parse + merge, zero error handling.
 
     This replicates what ``BeaconDataset.load`` did before the policy
@@ -90,7 +87,5 @@ def test_ingestion_throughput_raw_baseline(benchmark, bench_record):
                 dataset.add_counts(SubnetBeaconCounts.from_json(line))
         return dataset
 
-    dataset = benchmark(load)
+    dataset = _timed_load(load, "raw baseline (no policy)", SUBNETS)
     assert len(dataset) == SUBNETS
-    _report(benchmark, "raw baseline (no policy)", SUBNETS,
-            bench_record, "ingest_lines_per_s_raw_baseline")

@@ -88,7 +88,7 @@ def _report(name: str, enabled: float, disabled: float) -> float:
     return ratio
 
 
-def test_ingest_policy_overhead(beacon_hits, bench_record):
+def test_ingest_policy_overhead(beacon_hits):
     buffer = io.StringIO()
     write_jsonl(beacon_hits, buffer)
     text = buffer.getvalue()
@@ -100,12 +100,10 @@ def test_ingest_policy_overhead(beacon_hits, bench_record):
 
     enabled, disabled = _measure(workload)
     ratio = _report("jsonl ingest", enabled, disabled)
-    bench_record("jsonl_ingest_overhead_ratio", ratio, unit="ratio",
-                 higher_is_better=False, threshold=OVERHEAD_CEILING)
     assert ratio < OVERHEAD_CEILING
 
 
-def test_stream_engine_overhead(beacon_hits, bench_record):
+def test_stream_engine_overhead(beacon_hits):
     policy = WindowPolicy(window_events=4096)
 
     def workload():
@@ -113,12 +111,10 @@ def test_stream_engine_overhead(beacon_hits, bench_record):
 
     enabled, disabled = _measure(workload)
     ratio = _report("stream ingest", enabled, disabled)
-    bench_record("stream_ingest_overhead_ratio", ratio, unit="ratio",
-                 higher_is_better=False, threshold=OVERHEAD_CEILING)
     assert ratio < OVERHEAD_CEILING
 
 
-def test_serial_pipeline_overhead(lab, bench_record):
+def test_serial_pipeline_overhead(lab):
     from repro.core.pipeline import CellSpotter
 
     beacons, demand, as_classes = lab.beacons, lab.demand, lab.as_classes
@@ -129,12 +125,10 @@ def test_serial_pipeline_overhead(lab, bench_record):
 
     enabled, disabled = _measure(workload)
     ratio = _report("serial pipeline", enabled, disabled)
-    bench_record("serial_pipeline_overhead_ratio", ratio, unit="ratio",
-                 higher_is_better=False, threshold=OVERHEAD_CEILING)
     assert ratio < OVERHEAD_CEILING
 
 
-def test_scraper_and_monitor_overhead(beacon_hits, tmp_path, bench_record):
+def test_scraper_and_monitor_overhead(beacon_hits, tmp_path):
     """The continuous telemetry plane also fits the <5% budget.
 
     The telemetered arm runs stream ingest with the full plane live:
@@ -190,8 +184,6 @@ def test_scraper_and_monitor_overhead(beacon_hits, tmp_path, bench_record):
         f"\nscraper+monitor: telemetered {tele * 1000:.1f} ms vs "
         f"plain {base * 1000:.1f} ms ({ratio:.3f}x)"
     )
-    bench_record("scraper_monitor_overhead_ratio", ratio, unit="ratio",
-                 higher_is_better=False, threshold=OVERHEAD_CEILING)
     assert ratio < OVERHEAD_CEILING
 
 

@@ -36,23 +36,18 @@ ROWWISE_BASELINE = 758_000
 INGEST_CLASSIFY_FLOOR = 3 * ROWWISE_BASELINE
 
 
-def test_pipeline_throughput(lab, benchmark, bench_record):
+def test_pipeline_throughput(lab):
     spotter = CellSpotter(as_filter=lab.spotter.as_filter)
-    result = benchmark(
-        spotter.run, lab.beacons, lab.demand, lab.as_classes
-    )
+    started = time.perf_counter()
+    result = spotter.run(lab.beacons, lab.demand, lab.as_classes)
+    seconds = time.perf_counter() - started
     subnets = len(result.classification)
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None:  # absent under --benchmark-disable
-        seconds = stats.stats.mean
-        print(f"\nclassified {subnets:,} subnets in {seconds * 1000:.0f} ms "
-              f"({subnets / seconds:,.0f} subnets/s)")
-        bench_record("pipeline_subnets_per_s", subnets / seconds,
-                     unit="op/s", higher_is_better=True)
+    print(f"\nclassified {subnets:,} subnets in {seconds * 1000:.0f} ms "
+          f"({subnets / seconds:,.0f} subnets/s)")
     assert result.cellular_as_count > 0
 
 
-def test_ingest_classify_throughput(lab, bench_record):
+def test_ingest_classify_throughput(lab):
     """The columnar ingest -> classify stage vs the PR-6 row ceiling.
 
     Times exactly what the fused pipeline runs per shard -- column
@@ -97,11 +92,6 @@ def test_ingest_classify_throughput(lab, bench_record):
     print(f"\ningest+classify[{backend}]: {len(rows):,} events in "
           f"{best * 1000:.0f} ms ({events_per_s:,.0f} events/s, "
           f"floor {INGEST_CLASSIFY_FLOOR:,} on numpy)")
-    bench_record(
-        "ingest_classify_events_per_s", events_per_s,
-        unit=f"events/s[{backend}]", higher_is_better=True,
-        threshold=INGEST_CLASSIFY_FLOOR if floored else None,
-    )
     if floored:
         assert events_per_s >= INGEST_CLASSIFY_FLOOR, (
             f"ingest/classify at {events_per_s:,.0f} events/s "
@@ -120,7 +110,7 @@ def _best_of(fn, rounds=ROUNDS):
     return best, value
 
 
-def test_cached_fused_run_speedup(lab, tmp_path, bench_record):
+def test_cached_fused_run_speedup(lab, tmp_path):
     """Cache + fused sharded run vs JSONL ingest + serial run."""
     beacon_buffer, demand_buffer = io.StringIO(), io.StringIO()
     lab.beacons.dump(beacon_buffer)
@@ -153,8 +143,6 @@ def test_cached_fused_run_speedup(lab, tmp_path, bench_record):
     print(f"\nserial ingest+run: {serial_s * 1000:.0f} ms | "
           f"cached fused run ({WORKERS} workers): {fast_s * 1000:.0f} ms | "
           f"speedup {speedup:.2f}x (floor {SPEEDUP_FLOOR}x)")
-    bench_record("cached_fused_speedup", speedup, unit="ratio",
-                 higher_is_better=True, threshold=SPEEDUP_FLOOR)
 
     # Differential proof first: identical output, down to the floats.
     assert fast_result.ratios == serial_result.ratios

@@ -74,7 +74,7 @@ def _query_mix(ratios: RatioTable, count: int):
     return queries
 
 
-def test_query_latency_and_rate(lab, bench_record):
+def test_query_latency_and_rate(lab):
     hits = _event_stream(lab)
     service = _drained_service(hits)
     queries = _query_mix(service.engine.ratio_table(), QUERY_COUNT)
@@ -103,19 +103,13 @@ def test_query_latency_and_rate(lab, bench_record):
         f"p50 {p50 * 1e6:.0f}us, p99 {p99 * 1e6:.0f}us "
         f"({matched:,} answered)"
     )
-    bench_record("query_rate_per_s", rate, unit="op/s",
-                 higher_is_better=True, threshold=QUERY_RATE_FLOOR)
-    bench_record("query_latency_p50_s", p50, unit="s",
-                 higher_is_better=False)
-    bench_record("query_latency_p99_s", p99, unit="s",
-                 higher_is_better=False, threshold=P99_CEILING_S)
     assert rate >= QUERY_RATE_FLOOR, (
         f"{rate:,.0f} q/s is below the {QUERY_RATE_FLOOR:,} floor"
     )
     assert p99 < P99_CEILING_S, f"p99 {p99 * 1e3:.2f}ms >= 1ms"
 
 
-def test_batch_query_api_amortizes_dispatch(lab, bench_record):
+def test_batch_query_api_amortizes_dispatch(lab):
     hits = _event_stream(lab)
     service = _drained_service(hits)
     queries = _query_mix(service.engine.ratio_table(), QUERY_COUNT)
@@ -126,12 +120,10 @@ def test_batch_query_api_amortizes_dispatch(lab, bench_record):
     assert response["ok"] and len(response["results"]) == len(queries)
     rate = len(queries) / elapsed
     print(f"\nbatch API: {rate:,.0f} q/s")
-    bench_record("batch_query_rate_per_s", rate, unit="op/s",
-                 higher_is_better=True, threshold=QUERY_RATE_FLOOR)
     assert rate >= QUERY_RATE_FLOOR
 
 
-def test_ingest_throughput(lab, bench_record):
+def test_ingest_throughput(lab):
     hits = _event_stream(lab)
     best = float("inf")
     for _ in range(3):
@@ -145,8 +137,6 @@ def test_ingest_throughput(lab, bench_record):
         f"\ningested {len(hits):,} events in {best:.2f}s "
         f"({rate:,.0f} events/s, {engine.subnet_count():,} subnets)"
     )
-    bench_record("ingest_rate_per_s", rate, unit="op/s",
-                 higher_is_better=True, threshold=INGEST_RATE_FLOOR)
     assert rate >= INGEST_RATE_FLOOR, (
         f"{rate:,.0f} events/s is below the {INGEST_RATE_FLOOR:,} floor"
     )

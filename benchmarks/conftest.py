@@ -1,104 +1,27 @@
-"""Benchmark fixtures + machine-readable report emission.
+"""Fixtures for the perf gates.
 
 One lab (world + datasets + pipeline output) is shared across every
-benchmark; the timed portion of each bench is the analysis that
-regenerates a paper table/figure, not world generation.
-
-Every ``bench_*.py`` module additionally emits one
-``BENCH_<name>.json`` report at session end (schema in
-:mod:`repro.obs.benchdiff`): per-test outcomes and durations are
-collected automatically by the hooks below, and perf benches record
-explicit metrics (op/s, p50/p99, overhead ratios, floors/ceilings)
-through the ``bench_record`` fixture.  ``cellspot bench-diff OLD NEW``
-compares two reports and flags >10% regressions.  Reports land in the
-invocation directory unless ``CELLSPOT_BENCH_OUT`` points elsewhere.
+gate, so a gate times its own workload, not world generation.  Each
+gate asserts its own floor or ceiling and prints what it measured
+(run with ``-s`` to see it); end-to-end numbers with a committed
+baseline come from ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Dict
-
 import pytest
 
 from repro.lab import Lab
-from repro.obs.benchdiff import metric_record, write_bench_report
 
-BENCH_SCALE = 0.005
-BENCH_SEED = 1
-
-#: module stem -> {test name -> {"outcome", "duration_s"}}
-_BENCH_TESTS: Dict[str, Dict[str, Dict]] = {}
-#: module stem -> {metric name -> metric record}
-_BENCH_METRICS: Dict[str, Dict[str, Dict]] = {}
-
-
-def _bench_stem(path) -> str:
-    name = Path(str(path)).stem
-    return name[len("bench_"):] if name.startswith("bench_") else name
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    outcome = yield
-    report = outcome.get_result()
-    if report.when != "call":
-        return
-    stem = _bench_stem(item.fspath)
-    _BENCH_TESTS.setdefault(stem, {})[item.name] = {
-        "outcome": report.outcome,
-        "duration_s": report.duration,
-    }
-
-
-@pytest.fixture
-def bench_record(request):
-    """Record one explicit perf metric into the module's JSON report.
-
-    ``bench_record(name, value, unit=..., higher_is_better=...,
-    threshold=...)`` -- ``threshold`` is a floor when higher is better,
-    a ceiling otherwise; the pass verdict is derived unless ``passed``
-    is given explicitly.
-    """
-    metrics = _BENCH_METRICS.setdefault(_bench_stem(request.fspath), {})
-
-    def record(name, value, unit="", higher_is_better=True,
-               threshold=None, passed=None):
-        metrics[name] = metric_record(
-            value, unit=unit, higher_is_better=higher_is_better,
-            threshold=threshold, passed=passed,
-        )
-        return metrics[name]
-
-    return record
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _BENCH_TESTS:
-        return
-    out_dir = Path(os.environ.get("CELLSPOT_BENCH_OUT", "."))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        return  # report emission must never fail the bench run
-    for stem, tests in sorted(_BENCH_TESTS.items()):
-        try:
-            write_bench_report(
-                out_dir / f"BENCH_{stem}.json",
-                stem,
-                tests,
-                _BENCH_METRICS.get(stem),
-            )
-        except OSError:
-            continue
+LAB_SCALE = 0.005
+LAB_SEED = 1
 
 
 @pytest.fixture(scope="session")
 def lab() -> Lab:
-    instance = Lab.create(scale=BENCH_SCALE, seed=BENCH_SEED)
-    # Materialize every cached stage up front so benches time analysis,
-    # not generation.
+    instance = Lab.create(scale=LAB_SCALE, seed=LAB_SEED)
+    # Materialize every cached stage up front so gates time their
+    # workload, not generation.
     instance.result
     instance.affinity
     instance.carriers

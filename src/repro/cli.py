@@ -1363,24 +1363,28 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    """Compare two BENCH_<name>.json reports; exit 1 on regression."""
+    """Compare two perfbench result files; exit 1 on regression."""
     from repro.obs.benchdiff import (
-        compare_bench_reports,
-        load_bench_report,
+        compare_results,
+        load_directions,
+        load_result,
         render_diff,
     )
 
     try:
-        old = load_bench_report(args.old)
-        new = load_bench_report(args.new)
+        findings = compare_results(
+            load_result(args.old),
+            load_result(args.new),
+            load_directions(),
+            tolerance=args.tolerance,
+        )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    findings = compare_bench_reports(old, new, tolerance=args.tolerance)
     print(render_diff(findings, args.old, args.new))
     regressed = [f for f in findings if f["status"] == "regressed"]
     if regressed:
-        print(f"error: {len(regressed)} metric(s) regressed beyond "
+        print(f"error: {len(regressed)} figure(s) regressed beyond "
               f"{args.tolerance:.0%}", file=sys.stderr)
         return 1
     return 0
@@ -2044,13 +2048,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_diff = subparsers.add_parser(
         "bench-diff",
-        help="compare two BENCH_<name>.json benchmark reports",
-        description="Flag metrics that moved more than --tolerance in "
-                    "their bad direction (or whose floor/ceiling "
-                    "verdict flipped to fail).  Exit 1 on regression.",
+        help="compare two perfbench result files",
+        description="Compare every figure in two perfbench results of "
+                    "one workload (.perfbench/results/*.json or "
+                    "perfbench/baseline/<workload>.json).  Each figure's "
+                    "direction comes from perfbench/layers.json, read "
+                    "from the current directory; a figure moving more "
+                    "than --tolerance in its bad direction regresses.  "
+                    "Exit 1 on regression, 2 on unreadable input.",
     )
-    bench_diff.add_argument("old", help="baseline BENCH_<name>.json")
-    bench_diff.add_argument("new", help="candidate BENCH_<name>.json")
+    bench_diff.add_argument("old", help="baseline perfbench result JSON")
+    bench_diff.add_argument("new", help="candidate perfbench result JSON")
     bench_diff.add_argument(
         "--tolerance", type=float, default=0.10, metavar="FRACTION",
         help="relative regression tolerance (default: 0.10)",

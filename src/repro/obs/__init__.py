@@ -34,93 +34,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertRule,
-    AlertRuleError,
-    default_rules,
-    episodes,
-    load_rules,
-    read_alert_log,
-)
-from repro.obs.dashboard import (
-    render_dashboard,
-    render_health_report,
-    run_top,
-)
-from repro.obs.flight import (
-    FlightRecorder,
-    FlightRecorderError,
-    read_flight_ring,
-)
-from repro.obs.health import (
-    CensusDriftMonitor,
-    RatioSketch,
-    ks_statistic,
-    population_stability_index,
-)
-from repro.obs.metrics import (
-    BATCH_STAGE_BUCKETS,
-    COUNT_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    LabeledGauge,
-    MetricsRegistry,
-    NullMetric,
-    PrometheusFormatError,
-    global_registry,
-    instrument,
-    metrics_enabled,
-    parse_prometheus_text,
-    render_prometheus,
-    reset_global_registry,
-    set_enabled,
-    validate_bounds,
-)
-from repro.obs.postmortem import (
-    build_postmortem,
-    collect_spans,
-    render_text as render_postmortem_text,
-    to_chrome_trace as postmortem_chrome_trace,
-)
-from repro.obs.resources import (
-    LeakDrill,
-    ResourceSampler,
-    count_open_fds,
-    read_io,
-    read_statm,
-    read_status,
-    rusage_snapshot,
-    total_memory_bytes,
-)
-from repro.obs.sampler import SamplingProfiler
-from repro.obs.timeseries import (
-    MetricScraper,
-    TimeSeriesReader,
-    TimeSeriesStore,
-    load_metrics_dump,
-    read_latest_sample,
-    scrape_registry,
-    split_metric_tag,
-    tag_metric,
-)
-from repro.obs.trace import (
-    Span,
-    SpanLog,
-    Tracer,
-    add_span_exit_hook,
-    current_trace_id,
-    get_tracer,
-    read_span_log,
-    remove_span_exit_hook,
-    reset_tracer,
-    span,
-    traced,
-)
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
 
 
 def dump_metrics(
@@ -131,6 +49,7 @@ def dump_metrics(
     Format follows the extension: ``.json`` gets the JSON export,
     anything else (``.prom``, ``.txt``, ...) gets Prometheus text.
     """
+    from repro.obs.metrics import global_registry
     from repro.runtime.checkpoint import atomic_write_text
 
     registry = registry if registry is not None else global_registry()
@@ -147,6 +66,7 @@ def dump_trace(
     path: Union[str, Path], tracer: Optional[Tracer] = None
 ) -> Path:
     """Atomically write the tracer's Chrome ``trace_event`` JSON."""
+    from repro.obs.trace import get_tracer
     from repro.runtime.checkpoint import atomic_write_text
 
     tracer = tracer if tracer is not None else get_tracer()
@@ -221,6 +141,9 @@ def observed_command(
       ``trace_out`` (and the sampler's collapsed stacks + Chrome
       trace) atomically.
     """
+    from repro.obs.metrics import reset_global_registry
+    from repro.obs.trace import reset_tracer
+
     registry = reset_global_registry()
     tracer = reset_tracer()
     handler_installed = False
@@ -233,6 +156,8 @@ def observed_command(
     stack_sampler = None
     try:
         if prof_sample:
+            from repro.obs.sampler import SamplingProfiler
+
             stack_sampler = SamplingProfiler(interval_s=prof_sample_interval_s)
             stack_sampler.start()
         with tracer.span(f"cellspot.{command}", command=command):
@@ -265,77 +190,3 @@ def observed_command(
         if trace_out is not None:
             dump_trace(trace_out, tracer)
 
-
-__all__ = [
-    "AlertEngine",
-    "AlertRule",
-    "AlertRuleError",
-    "BATCH_STAGE_BUCKETS",
-    "COUNT_BUCKETS",
-    "CensusDriftMonitor",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "FlightRecorder",
-    "FlightRecorderError",
-    "Gauge",
-    "Histogram",
-    "LabeledGauge",
-    "LeakDrill",
-    "MetricScraper",
-    "MetricsRegistry",
-    "NullMetric",
-    "ObservedRun",
-    "PrometheusFormatError",
-    "RatioSketch",
-    "ResourceSampler",
-    "SamplingProfiler",
-    "Span",
-    "SpanLog",
-    "TimeSeriesReader",
-    "TimeSeriesStore",
-    "Tracer",
-    "add_span_exit_hook",
-    "build_postmortem",
-    "count_open_fds",
-    "collect_spans",
-    "current_trace_id",
-    "default_rules",
-    "dump_metrics",
-    "dump_trace",
-    "episodes",
-    "get_tracer",
-    "global_registry",
-    "instrument",
-    "ks_statistic",
-    "load_metrics_dump",
-    "load_rules",
-    "metrics_enabled",
-    "observed_command",
-    "parse_prometheus_text",
-    "population_stability_index",
-    "postmortem_chrome_trace",
-    "read_alert_log",
-    "read_flight_ring",
-    "read_io",
-    "read_latest_sample",
-    "read_span_log",
-    "read_statm",
-    "read_status",
-    "remove_span_exit_hook",
-    "render_dashboard",
-    "render_health_report",
-    "render_postmortem_text",
-    "render_prometheus",
-    "reset_global_registry",
-    "reset_tracer",
-    "run_top",
-    "rusage_snapshot",
-    "scrape_registry",
-    "set_enabled",
-    "span",
-    "split_metric_tag",
-    "tag_metric",
-    "total_memory_bytes",
-    "traced",
-    "validate_bounds",
-]

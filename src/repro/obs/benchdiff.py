@@ -1,181 +1,123 @@
-"""Machine-readable benchmark reports and regression diffing.
+"""Regression diffing over two perfbench result files.
 
-Every ``benchmarks/bench_*.py`` module emits one ``BENCH_<name>.json``
-report (written by the shared helper in ``benchmarks/conftest.py``):
-per-test outcomes and durations, plus any explicit performance metrics
-the bench recorded (op/s, p50/p99 latencies, overhead ratios) with
-their floors/ceilings and pass verdicts.  ``cellspot bench-diff``
-compares two such reports and flags regressions beyond a tolerance.
+``perfbench/run.py`` writes one JSON result per run
+(``.perfbench/results/<workload>-seed<s>-trace<t>.json``), and the
+repo commits one per workload as ``perfbench/baseline/<workload>.json``.
+Each holds the run's ``workload`` and a ``details`` object, figure name
+-> number::
 
-The report schema (``REPORT_VERSION`` 1)::
+    {"workload": "census", "details": {"setup_s": 7.9,
+     "experiments.fig3_s": 6.7, ...}, ...}
 
-    {
-      "bench": "serving_latency",
-      "report_version": 1,
-      "generated_at": 1700000000.0,
-      "pass": true,
-      "tests": {
-        "test_query_latency_and_rate": {
-          "outcome": "passed", "duration_s": 1.234
-        }
-      },
-      "metrics": {
-        "query_rate_per_s": {
-          "value": 52340.0, "unit": "op/s",
-          "higher_is_better": true, "threshold": 10000.0, "pass": true
-        }
-      }
-    }
-
-``threshold`` is a floor when ``higher_is_better`` else a ceiling.
-Comparison is value-based: a metric regresses when it moves more than
-``tolerance`` (default 10%) in its bad direction; threshold verdicts
-flipping from pass to fail are always regressions.
+``cellspot bench-diff OLD NEW`` compares every figure in ``details``.
+A figure's direction is its ``better`` (``lower`` / ``higher``) in
+``perfbench/layers.json``, where ``<...>`` in a declared name matches
+any text (``experiments.<id>_s`` covers ``experiments.fig3_s``).  A
+figure regresses when it moves more than ``tolerance`` (default 10%)
+in its bad direction.  A figure ``layers.json`` does not declare is
+listed but never regresses.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-
-REPORT_VERSION = 1
 
 #: Default relative regression tolerance for ``bench-diff``.
 DEFAULT_TOLERANCE = 0.10
 
-
-def metric_record(
-    value: float,
-    unit: str = "",
-    higher_is_better: bool = True,
-    threshold: Optional[float] = None,
-    passed: Optional[bool] = None,
-) -> Dict:
-    """One explicit benchmark metric, verdict derived if not given."""
-    if passed is None:
-        if threshold is None:
-            passed = True
-        elif higher_is_better:
-            passed = value >= threshold
-        else:
-            passed = value <= threshold
-    return {
-        "value": float(value),
-        "unit": unit,
-        "higher_is_better": bool(higher_is_better),
-        "threshold": None if threshold is None else float(threshold),
-        "pass": bool(passed),
-    }
+#: The metric contract, relative to the checkout root.
+LAYERS_PATH = Path("perfbench") / "layers.json"
 
 
-def write_bench_report(
-    path: Union[str, Path],
-    bench: str,
-    tests: Dict[str, Dict],
-    metrics: Optional[Dict[str, Dict]] = None,
-    generated_at: Optional[float] = None,
-) -> Path:
-    """Atomically write one ``BENCH_<name>.json`` report."""
-    from repro.runtime.checkpoint import atomic_write_text
-
-    metrics = dict(metrics or {})
-    overall = all(
-        record.get("outcome") == "passed" for record in tests.values()
-    ) and all(record.get("pass", True) for record in metrics.values())
-    payload = {
-        "bench": bench,
-        "report_version": REPORT_VERSION,
-        "generated_at": (
-            time.time() if generated_at is None else generated_at
-        ),
-        "pass": overall,
-        "tests": {
-            name: {
-                "outcome": record.get("outcome", "passed"),
-                "duration_s": round(
-                    float(record.get("duration_s", 0.0)), 6
-                ),
-            }
-            for name, record in sorted(tests.items())
-        },
-        "metrics": {name: metrics[name] for name in sorted(metrics)},
-    }
-    path = Path(path)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_bench_report(path: Union[str, Path]) -> Dict:
+def load_result(path: Union[str, Path]) -> Dict:
+    """One perfbench result; ``ValueError`` unless it has ``details``."""
     raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict) or "metrics" not in raw:
-        raise ValueError(f"{path}: not a bench report (no 'metrics' key)")
+    if not isinstance(raw, dict) or not isinstance(raw.get("details"), dict):
+        raise ValueError(
+            f"{path}: not a perfbench result (no 'details' object)"
+        )
+    for name, value in raw["details"].items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: details.{name} is not a number")
     return raw
 
 
-def compare_bench_reports(
-    old: Dict, new: Dict, tolerance: float = DEFAULT_TOLERANCE
-) -> List[Dict]:
-    """Per-metric findings between two reports.
+def load_directions(path: Union[str, Path] = LAYERS_PATH) -> Dict[str, str]:
+    """Declared figure name -> ``better`` from ``layers.json``."""
+    try:
+        layers = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ValueError(
+            f"{path}: not found (run bench-diff from the checkout root)"
+        ) from None
+    return {name: entry["better"] for name, entry in layers.items()}
 
-    Each finding: ``{"metric", "old", "new", "change", "status"}`` with
-    status one of ``ok`` / ``improved`` / ``regressed`` / ``added`` /
-    ``removed``.  ``change`` is the signed relative delta (None when
-    the old value is 0 or the metric is missing on one side).
+
+def _direction(name: str, directions: Dict[str, str]) -> Optional[str]:
+    """``better`` for ``name``, or None when no declaration matches."""
+    if name in directions:
+        return directions[name]
+    for pattern, better in directions.items():
+        if "<" in pattern:
+            head, rest = pattern.split("<", 1)
+            tail = rest.split(">", 1)[1]
+            if name.startswith(head) and name.endswith(tail):
+                return better
+    return None
+
+
+def compare_results(
+    old: Dict,
+    new: Dict,
+    directions: Dict[str, str],
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> List[Dict]:
+    """Per-figure findings between two results of one workload.
+
+    Each finding: ``{"metric", "old", "new", "change", "better",
+    "status"}`` with status one of ``ok`` / ``improved`` /
+    ``regressed`` / ``added`` / ``removed``.  ``change`` is the signed
+    relative delta (None when the old value is 0 or the figure is
+    missing on one side); ``better`` is None for an undeclared figure.
     """
-    findings: List[Dict] = []
-    old_metrics = old.get("metrics", {})
-    new_metrics = new.get("metrics", {})
-    for name in sorted(set(old_metrics) | set(new_metrics)):
-        before = old_metrics.get(name)
-        after = new_metrics.get(name)
-        if before is None:
-            findings.append({
-                "metric": name, "old": None,
-                "new": after["value"], "change": None, "status": "added",
-            })
-            continue
-        if after is None:
-            findings.append({
-                "metric": name, "old": before["value"],
-                "new": None, "change": None, "status": "removed",
-            })
-            continue
-        higher = after.get("higher_is_better", True)
-        change = (
-            (after["value"] - before["value"]) / abs(before["value"])
-            if before["value"] else None
+    if old.get("workload") != new.get("workload"):
+        raise ValueError(
+            f"different workloads: {old.get('workload')!r} vs "
+            f"{new.get('workload')!r}"
         )
-        if before.get("pass", True) and not after.get("pass", True):
-            status = "regressed"  # threshold verdict flipped
-        elif change is None:
+    findings: List[Dict] = []
+    before_all, after_all = old["details"], new["details"]
+    for name in sorted(set(before_all) | set(after_all)):
+        before, after = before_all.get(name), after_all.get(name)
+        better = _direction(name, directions)
+        change = (
+            (after - before) / abs(before)
+            if before and after is not None else None
+        )
+        if before is None:
+            status = "added"
+        elif after is None:
+            status = "removed"
+        elif change is None or better is None or abs(change) <= tolerance:
             status = "ok"
-        elif higher and change < -tolerance:
-            status = "regressed"
-        elif not higher and change > tolerance:
-            status = "regressed"
-        elif higher and change > tolerance:
-            status = "improved"
-        elif not higher and change < -tolerance:
+        elif (change > 0) == (better == "higher"):
             status = "improved"
         else:
-            status = "ok"
+            status = "regressed"
         findings.append({
-            "metric": name,
-            "old": before["value"],
-            "new": after["value"],
-            "change": change,
-            "status": status,
+            "metric": name, "old": before, "new": after,
+            "change": change, "better": better, "status": status,
         })
     return findings
 
 
 def render_diff(findings: List[Dict], old_name: str, new_name: str) -> str:
-    """Human-readable diff table; one line per metric."""
+    """Human-readable diff table; one line per figure."""
     lines = [f"bench-diff: {old_name} -> {new_name}"]
     if not findings:
-        lines.append("  (no metrics on either side)")
+        lines.append("  (no figures on either side)")
         return "\n".join(lines)
     width = max(len(f["metric"]) for f in findings)
     glyph = {"regressed": "✖", "improved": "▲", "ok": "·",
@@ -183,18 +125,19 @@ def render_diff(findings: List[Dict], old_name: str, new_name: str) -> str:
     for finding in findings:
         change = finding["change"]
         delta = "" if change is None else f"  ({change:+.1%})"
+        undeclared = "" if finding["better"] else ", undeclared"
         old_value = finding["old"]
         new_value = finding["new"]
         lines.append(
             f"  {glyph[finding['status']]} {finding['metric']:<{width}}  "
             f"{'-' if old_value is None else f'{old_value:g}'} -> "
             f"{'-' if new_value is None else f'{new_value:g}'}"
-            f"{delta}  [{finding['status']}]"
+            f"{delta}  [{finding['status']}{undeclared}]"
         )
     regressions = sum(1 for f in findings if f["status"] == "regressed")
     improved = sum(1 for f in findings if f["status"] == "improved")
     lines.append(
-        f"  {len(findings)} metric(s): {regressions} regressed, "
+        f"  {len(findings)} figure(s): {regressions} regressed, "
         f"{improved} improved"
     )
     return "\n".join(lines)

@@ -630,6 +630,8 @@ class ServingPlane:
                 pass
         if handle.process.is_alive():
             handle.process.terminate()
+        # A SIGKILLed worker never runs its own unlink.
+        Path(handle.socket_path).unlink(missing_ok=True)
         self.metrics.get("scale_workers_alive").set(float(self._alive_count()))
         if respawn and not self._draining:
             replacement = await self._spawn_worker(handle.slot)

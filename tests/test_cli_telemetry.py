@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.benchdiff import metric_record, write_bench_report
 from repro.obs.timeseries import TimeSeriesStore
+
+REPO = Path(__file__).resolve().parents[1]
+BASELINE = REPO / "perfbench" / "baseline"
 
 
 @pytest.fixture()
@@ -135,47 +138,72 @@ class TestAlertsCommand:
 
 
 class TestBenchDiffCommand:
-    def _write(self, path, value, threshold=None):
-        write_bench_report(
-            path, "x",
-            tests={"test_a": {"outcome": "passed", "duration_s": 0.1}},
-            metrics={"rate": metric_record(value, unit="op/s",
-                                           threshold=threshold)},
-        )
-        return path
+    """bench-diff over perfbench results, run from the checkout root
+    (where it reads ``perfbench/layers.json``)."""
 
-    def test_no_regression_exits_zero(self, capsys, tmp_path):
-        old = self._write(tmp_path / "old.json", 100)
-        new = self._write(tmp_path / "new.json", 99)
-        assert main(["bench-diff", str(old), str(new)]) == 0
-        assert "0 regressed" in capsys.readouterr().out
+    @pytest.fixture(autouse=True)
+    def _at_checkout_root(self, monkeypatch):
+        monkeypatch.chdir(REPO)
+
+    def _scaled(self, tmp_path, workload, figure, factor):
+        result = json.loads((BASELINE / f"{workload}.json").read_text())
+        result["details"][figure] *= factor
+        path = tmp_path / f"{workload}-{figure}-x{factor}.json"
+        path.write_text(json.dumps(result))
+        return str(path)
+
+    def test_no_regression_exits_zero(self, capsys):
+        census = str(BASELINE / "census.json")
+        assert main(["bench-diff", census, census]) == 0
+        assert "0 regressed, 0 improved" in capsys.readouterr().out
 
     def test_regression_exits_one(self, capsys, tmp_path):
-        old = self._write(tmp_path / "old.json", 100)
-        new = self._write(tmp_path / "new.json", 50)
-        assert main(["bench-diff", str(old), str(new)]) == 1
+        slower = self._scaled(tmp_path, "census", "setup_s", 1.5)
+        assert main(["bench-diff", str(BASELINE / "census.json"),
+                     slower]) == 1
         captured = capsys.readouterr()
-        assert "✖ rate" in captured.out
+        assert "✖ setup_s" in captured.out
         assert "regressed beyond 10%" in captured.err
 
+    def test_read_qps_direction(self, capsys, tmp_path):
+        baseline = str(BASELINE / "serve-ingest.json")
+        halved = self._scaled(tmp_path, "serve-ingest", "read_qps", 0.5)
+        assert main(["bench-diff", baseline, halved]) == 1
+        assert "✖ read_qps" in capsys.readouterr().out
+        faster = self._scaled(tmp_path, "serve-ingest", "read_qps", 1.5)
+        assert main(["bench-diff", baseline, faster]) == 0
+        out = capsys.readouterr().out
+        assert "▲ read_qps" in out and "[improved]" in out
+
     def test_tolerance_flag(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json", 100)
-        new = self._write(tmp_path / "new.json", 80)
-        assert main(["bench-diff", str(old), str(new),
-                     "--tolerance", "0.5"]) == 0
+        slower = self._scaled(tmp_path, "census", "setup_s", 1.5)
+        assert main(["bench-diff", str(BASELINE / "census.json"), slower,
+                     "--tolerance", "0.6"]) == 0
         capsys.readouterr()
 
     def test_missing_report_exits_two(self, capsys, tmp_path):
-        old = self._write(tmp_path / "old.json", 100)
-        assert main(["bench-diff", str(old),
+        assert main(["bench-diff", str(BASELINE / "census.json"),
                      str(tmp_path / "absent.json")]) == 2
 
     def test_non_report_json_exits_two(self, capsys, tmp_path):
-        old = self._write(tmp_path / "old.json", 100)
         other = tmp_path / "other.json"
-        other.write_text('{"hello": 1}')
-        assert main(["bench-diff", str(old), str(other)]) == 2
-        assert "not a bench report" in capsys.readouterr().err
+        other.write_text("[1, 2, 3]")
+        assert main(["bench-diff", str(BASELINE / "census.json"),
+                     str(other)]) == 2
+        assert "not a perfbench result" in capsys.readouterr().err
+
+    def test_mixed_workloads_exit_two(self, capsys):
+        assert main(["bench-diff", str(BASELINE / "census.json"),
+                     str(BASELINE / "serve-ingest.json")]) == 2
+        assert "different workloads" in capsys.readouterr().err
+
+    def test_outside_the_checkout_exits_two(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        census = str(BASELINE / "census.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench-diff", census, census]) == 2
+        assert "layers.json" in capsys.readouterr().err
 
 
 class TestReportHealth:

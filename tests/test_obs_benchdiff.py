@@ -1,173 +1,116 @@
-"""Benchmark report schema and `cellspot bench-diff` comparison."""
+"""`cellspot bench-diff` over perfbench result files."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.obs.benchdiff import (
     DEFAULT_TOLERANCE,
-    REPORT_VERSION,
-    compare_bench_reports,
-    load_bench_report,
-    metric_record,
+    LAYERS_PATH,
+    compare_results,
+    load_directions,
+    load_result,
     render_diff,
-    write_bench_report,
 )
 
-
-def _report(metrics, tests=None):
-    return {
-        "bench": "x",
-        "report_version": REPORT_VERSION,
-        "tests": tests or {},
-        "metrics": metrics,
-    }
+REPO = Path(__file__).resolve().parents[1]
+DIRECTIONS = load_directions(REPO / LAYERS_PATH)
 
 
-class TestMetricRecord:
-    def test_floor_verdict_when_higher_is_better(self):
-        assert metric_record(50, threshold=10)["pass"] is True
-        assert metric_record(5, threshold=10)["pass"] is False
+def _result(details, workload="census"):
+    return {"workload": workload, "details": details}
 
-    def test_ceiling_verdict_when_lower_is_better(self):
-        record = metric_record(1.02, higher_is_better=False, threshold=1.05)
-        assert record["pass"] is True
-        assert metric_record(1.10, higher_is_better=False,
-                             threshold=1.05)["pass"] is False
 
-    def test_no_threshold_passes(self):
-        record = metric_record(123.0, unit="op/s")
-        assert record["pass"] is True and record["threshold"] is None
-
-    def test_explicit_verdict_wins(self):
-        assert metric_record(5, threshold=10, passed=True)["pass"] is True
+def _compare(old, new, **kwargs):
+    return compare_results(_result(old), _result(new), DIRECTIONS, **kwargs)
 
 
 class TestReportIO:
-    def test_write_load_roundtrip(self, tmp_path):
-        path = write_bench_report(
-            tmp_path / "BENCH_x.json", "x",
-            tests={"test_a": {"outcome": "passed", "duration_s": 1.5}},
-            metrics={"rate": metric_record(100, unit="op/s", threshold=10)},
-            generated_at=1700000000.0,
-        )
-        report = load_bench_report(path)
-        assert report["bench"] == "x"
-        assert report["report_version"] == REPORT_VERSION
-        assert report["pass"] is True
-        assert report["tests"]["test_a"]["duration_s"] == 1.5
-        assert report["metrics"]["rate"]["value"] == 100.0
-        assert report["generated_at"] == 1700000000.0
-
-    def test_failed_test_fails_report(self, tmp_path):
-        path = write_bench_report(
-            tmp_path / "r.json", "x",
-            tests={"test_a": {"outcome": "failed", "duration_s": 0.1}},
-        )
-        assert load_bench_report(path)["pass"] is False
-
-    def test_failed_metric_fails_report(self, tmp_path):
-        path = write_bench_report(
-            tmp_path / "r.json", "x",
-            tests={"test_a": {"outcome": "passed", "duration_s": 0.1}},
-            metrics={"ratio": metric_record(2.0, higher_is_better=False,
-                                            threshold=1.05)},
-        )
-        assert load_bench_report(path)["pass"] is False
-
     def test_load_rejects_non_reports(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"anything": 1}))
-        with pytest.raises(ValueError, match="not a bench report"):
-            load_bench_report(path)
+        for payload in ({"anything": 1}, [1, 2], {"details": [1]}):
+            path = tmp_path / "other.json"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="not a perfbench result"):
+                load_result(path)
+
+    def test_load_rejects_non_numeric_figures(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(_result({"setup_s": "fast"})))
+        with pytest.raises(ValueError, match="details.setup_s"):
+            load_result(path)
 
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_bench_report(tmp_path / "absent.json")
+            load_result(tmp_path / "absent.json")
 
 
 class TestCompare:
     def test_within_tolerance_is_ok(self):
-        findings = compare_bench_reports(
-            _report({"rate": metric_record(100)}),
-            _report({"rate": metric_record(95)}),
-        )
-        assert findings[0]["status"] == "ok"
-        assert findings[0]["change"] == pytest.approx(-0.05)
+        (finding,) = _compare({"read_qps": 100.0}, {"read_qps": 95.0})
+        assert finding["status"] == "ok"
+        assert finding["change"] == pytest.approx(-0.05)
 
     def test_drop_beyond_tolerance_regresses(self):
-        findings = compare_bench_reports(
-            _report({"rate": metric_record(100)}),
-            _report({"rate": metric_record(80)}),
-        )
-        assert findings[0]["status"] == "regressed"
+        (finding,) = _compare({"read_qps": 100.0}, {"read_qps": 80.0})
+        assert finding["status"] == "regressed"
 
     def test_gain_beyond_tolerance_improves(self):
-        findings = compare_bench_reports(
-            _report({"rate": metric_record(100)}),
-            _report({"rate": metric_record(150)}),
-        )
-        assert findings[0]["status"] == "improved"
+        (finding,) = _compare({"read_qps": 100.0}, {"read_qps": 150.0})
+        assert finding["status"] == "improved"
 
     def test_lower_is_better_inverts_direction(self):
-        old = _report({"p99": metric_record(0.001, higher_is_better=False)})
-        up = _report({"p99": metric_record(0.002, higher_is_better=False)})
-        down = _report({"p99": metric_record(0.0005,
-                                             higher_is_better=False)})
-        assert compare_bench_reports(old, up)[0]["status"] == "regressed"
-        assert compare_bench_reports(old, down)[0]["status"] == "improved"
+        old = {"setup_s": 2.0}
+        assert _compare(old, {"setup_s": 3.0})[0]["status"] == "regressed"
+        assert _compare(old, {"setup_s": 1.0})[0]["status"] == "improved"
 
-    def test_verdict_flip_always_regresses(self):
-        # Value moved under tolerance but crossed its floor.
-        old = _report({"rate": metric_record(10.5, threshold=10)})
-        new = _report({"rate": metric_record(9.9, threshold=10)})
-        findings = compare_bench_reports(old, new, tolerance=0.5)
-        assert findings[0]["status"] == "regressed"
+    def test_pattern_declared_figure_regresses(self):
+        (finding,) = _compare(
+            {"experiments.fig3_s": 0.05}, {"experiments.fig3_s": 0.10}
+        )
+        assert finding["better"] == "lower"
+        assert finding["status"] == "regressed"
+
+    def test_undeclared_figure_never_regresses(self):
+        (finding,) = _compare({"made.up_s": 1.0}, {"made.up_s": 9.0})
+        assert finding["better"] is None
+        assert finding["status"] == "ok"
+        assert finding["change"] == pytest.approx(8.0)
 
     def test_added_and_removed(self):
-        findings = compare_bench_reports(
-            _report({"gone": metric_record(1)}),
-            _report({"fresh": metric_record(2)}),
-        )
+        findings = _compare({"census_s": 1.0}, {"pipeline_s": 2.0})
         by_name = {f["metric"]: f for f in findings}
-        assert by_name["gone"]["status"] == "removed"
-        assert by_name["fresh"]["status"] == "added"
-        assert by_name["fresh"]["change"] is None
+        assert by_name["census_s"]["status"] == "removed"
+        assert by_name["pipeline_s"]["status"] == "added"
+        assert by_name["pipeline_s"]["change"] is None
 
     def test_custom_tolerance(self):
-        old = _report({"rate": metric_record(100)})
-        new = _report({"rate": metric_record(94)})
-        assert compare_bench_reports(old, new, tolerance=0.10)[0][
-            "status"] == "ok"
-        assert compare_bench_reports(old, new, tolerance=0.05)[0][
-            "status"] == "regressed"
+        old, new = {"read_qps": 100.0}, {"read_qps": 94.0}
+        assert _compare(old, new, tolerance=0.10)[0]["status"] == "ok"
+        assert _compare(old, new, tolerance=0.05)[0]["status"] == "regressed"
         assert DEFAULT_TOLERANCE == 0.10
 
     def test_zero_old_value_is_ok_not_div_by_zero(self):
-        findings = compare_bench_reports(
-            _report({"rate": metric_record(0)}),
-            _report({"rate": metric_record(50)}),
-        )
-        assert findings[0]["change"] is None
-        assert findings[0]["status"] == "ok"
+        (finding,) = _compare({"scale.shed": 0.0}, {"scale.shed": 50.0})
+        assert finding["change"] is None
+        assert finding["status"] == "ok"
 
 
 class TestRenderDiff:
     def test_table_shape(self):
-        findings = compare_bench_reports(
-            _report({"rate": metric_record(100), "p99": metric_record(
-                0.001, higher_is_better=False)}),
-            _report({"rate": metric_record(80), "p99": metric_record(
-                0.0005, higher_is_better=False)}),
+        findings = _compare(
+            {"read_qps": 100.0, "setup_s": 2.0, "made.up_s": 1.0},
+            {"read_qps": 80.0, "setup_s": 1.0, "made.up_s": 1.0},
         )
         text = render_diff(findings, "old.json", "new.json")
         assert "bench-diff: old.json -> new.json" in text
-        assert "✖ rate" in text
-        assert "▲ p99" in text
+        assert "✖ read_qps" in text
+        assert "▲ setup_s" in text
+        assert "[ok, undeclared]" in text
         assert "1 regressed, 1 improved" in text
 
     def test_empty_reports(self):
         text = render_diff([], "a", "b")
-        assert "(no metrics on either side)" in text
+        assert "(no figures on either side)" in text

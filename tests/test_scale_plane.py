@@ -871,6 +871,26 @@ def test_plane_processes_import_no_census():
     assert (lab_module, spotter_module) == ("repro.lab", "repro.core.pipeline")
 
 
+def test_worker_imports_no_unused_obs_modules():
+    """``repro.obs`` re-exports nothing, so a worker child loads only
+    the telemetry modules it runs."""
+    unused = (
+        "repro.obs.alerts", "repro.obs.dashboard", "repro.obs.health",
+        "repro.obs.postmortem", "repro.obs.sampler",
+    )
+    code = (
+        "import json, sys\n"
+        "import repro.scale.worker\n"
+        f"print(json.dumps(sorted(set(sys.modules) & set({unused!r}))))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env=_cli_env(),
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert json.loads(completed.stdout) == []
+
+
 # ---- the serving-scale drill: SIGKILL under overload, postmortem, alerts ---
 
 
@@ -1012,6 +1032,13 @@ class TestServingScaleDrill:
     def test_sigterm_drains_to_exit_zero(self, scale_drill):
         assert scale_drill.exit_code == 0, scale_drill.stderr[-2000:]
         assert "respawns" in scale_drill.stderr
+
+    def test_drain_leaves_no_worker_sockets(self, scale_drill):
+        # The SIGKILLed incarnation included: it cannot unlink its own.
+        left = sorted(p.name for p in (scale_drill.root / "cat").glob(
+            "worker-*.sock"
+        ))
+        assert left == []
 
     def test_front_start_span_times_each_start_step(self, scale_drill):
         from repro.obs.trace import read_span_log
