@@ -57,14 +57,15 @@ def subnets_by_continent(
     comparable (see the table4 experiment note).
     """
     census = {continent: SubnetCensus(continent) for continent in Continent}
+    row_of = {country.iso2: census[country.continent] for country in geography}
+    records = classification.records
     for subnet, cellular in classification.labels.items():
-        record = classification.records[subnet]
-        country = geography.find(record.country)
-        if country is None:
+        record = records[subnet]
+        row = row_of.get(record.country)
+        if row is None:
             continue
         if cellular and restrict_to_asns is not None:
             cellular = record.asn in restrict_to_asns
-        row = census[country.continent]
         if subnet.family == 4:
             row.active_slash24 += 1
             if cellular:
@@ -153,35 +154,43 @@ def continent_demand(
     accepted cellular ASes, removing proxy/cloud subnet-level false
     positives the AS filter caught.
     """
-    cellular: Dict[Continent, float] = {c: 0.0 for c in Continent}
-    total: Dict[Continent, float] = {c: 0.0 for c in Continent}
+    # One accumulator slot per continent, in ``Continent`` order; each
+    # non-excluded country maps straight to its continent's slot.
+    continents = list(Continent)
+    slot_of = {c: slot for slot, c in enumerate(continents)}
+    country_slot = {
+        country.iso2: slot_of[country.continent]
+        for country in geography
+        if country.iso2 not in exclude_countries
+    }
+    cellular = [0.0] * len(continents)
+    total = [0.0] * len(continents)
+    labels = classification.labels.get
     for record in demand:
-        if record.country in exclude_countries:
+        slot = country_slot.get(record.country)
+        if slot is None:
             continue
-        country = geography.find(record.country)
-        if country is None:
-            continue
-        total[country.continent] += record.du
-        if not classification.is_cellular(record.subnet):
+        total[slot] += record.du
+        if not labels(record.subnet, False):
             continue
         if restrict_to_asns is not None and record.asn not in restrict_to_asns:
             continue
-        cellular[country.continent] += record.du
-    global_cellular = sum(cellular.values())
-    subscribers = {c: 0.0 for c in Continent}
+        cellular[slot] += record.du
+    global_cellular = sum(cellular)
+    subscribers = [0.0] * len(continents)
     for country in geography:
         if country.iso2 in exclude_countries:
             continue
-        subscribers[country.continent] += country.subscribers_m
+        subscribers[slot_of[country.continent]] += country.subscribers_m
     return {
         continent: ContinentDemand(
             continent=continent,
-            cellular_du=cellular[continent],
-            total_du=total[continent],
+            cellular_du=cellular[slot],
+            total_du=total[slot],
             global_cellular_du=global_cellular,
-            subscribers_m=subscribers[continent],
+            subscribers_m=subscribers[slot],
         )
-        for continent in Continent
+        for slot, continent in enumerate(continents)
     }
 
 

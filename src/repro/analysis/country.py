@@ -49,19 +49,24 @@ def country_demand_stats(
     exclude_countries: frozenset = DEFAULT_DEMAND_EXCLUSIONS,
 ) -> Dict[str, CountryDemand]:
     """Per-country cellular/total demand over the whole dataset."""
+    counted = {
+        country.iso2
+        for country in geography
+        if country.iso2 not in exclude_countries
+    }
+    labels = classification.labels.get
     cellular: Dict[str, float] = {}
     total: Dict[str, float] = {}
     for record in demand:
-        if record.country in exclude_countries:
+        iso2 = record.country
+        if iso2 not in counted:
             continue
-        if geography.find(record.country) is None:
-            continue
-        total[record.country] = total.get(record.country, 0.0) + record.du
-        if not classification.is_cellular(record.subnet):
+        total[iso2] = total.get(iso2, 0.0) + record.du
+        if not labels(record.subnet, False):
             continue
         if restrict_to_asns is not None and record.asn not in restrict_to_asns:
             continue
-        cellular[record.country] = cellular.get(record.country, 0.0) + record.du
+        cellular[iso2] = cellular.get(iso2, 0.0) + record.du
     global_cellular = sum(cellular.values())
     return {
         iso2: CountryDemand(

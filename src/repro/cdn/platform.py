@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.datasets.demand_dataset import DemandDataset
 from repro.world.build import World
-from repro.world.geo import Geography, haversine_km
+from repro.world.geo import EARTH_RADIUS_KM, Geography
 
 #: Paper-reported fleet shape (full scale).
 PAPER_SERVER_COUNT = 200_000
@@ -55,6 +55,18 @@ class PlatformDeployment:
         self.regions = list(regions)
         self._geography = geography
         self._routes: Dict[str, ServerRegion] = {}
+        # Per-region routing terms, computed once: (latitude, longitude,
+        # cos of the latitude in radians, -servers for the tie-break).
+        self._sites = [
+            (
+                region,
+                region.latitude,
+                region.longitude,
+                math.cos(math.radians(region.latitude)),
+                -region.servers,
+            )
+            for region in self.regions
+        ]
 
     def __len__(self) -> int:
         return len(self.regions)
@@ -83,37 +95,44 @@ class PlatformDeployment:
         if cached is not None:
             return cached
         client = self._geography.get(client_country)
-        best = min(
-            self.regions,
-            key=lambda region: (
-                haversine_km(
-                    client.latitude, client.longitude,
-                    region.latitude, region.longitude,
-                ),
-                -region.servers,
-            ),
-        )
+        lat1, lon1 = client.latitude, client.longitude
+        cos_phi1 = math.cos(math.radians(lat1))
+        # haversine_km term for term, with both cosines hoisted out of
+        # the loop, so distances and the tie-break match it bit for bit.
+        best = best_key = None
+        for region, lat2, lon2, cos_phi2, neg_servers in self._sites:
+            dphi = math.radians(lat2 - lat1)
+            dlambda = math.radians(lon2 - lon1)
+            a = (
+                math.sin(dphi / 2) ** 2
+                + cos_phi1 * cos_phi2 * math.sin(dlambda / 2) ** 2
+            )
+            key = (2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a)), neg_servers)
+            if best_key is None or key < best_key:
+                best, best_key = region, key
         self._routes[client_country] = best
         return best
 
     def service_report(self, demand: DemandDataset) -> "ServiceReport":
         """Where demand gets served: in-country / in-continent shares."""
+        # Per client country: (region_id, same country, same continent),
+        # or None for a country outside the geography.
+        outcomes: Dict[str, Optional[Tuple[str, bool, bool]]] = {}
         in_country = in_continent = total = 0.0
         by_region: Dict[str, float] = {}
         for record in demand:
-            if self._geography.find(record.country) is None:
+            iso2 = record.country
+            if iso2 not in outcomes:
+                outcomes[iso2] = self._outcome(iso2)
+            outcome = outcomes[iso2]
+            if outcome is None:
                 continue
-            region = self.route(record.country)
+            region_id, same_country, same_continent = outcome
             total += record.du
-            by_region[region.region_id] = (
-                by_region.get(region.region_id, 0.0) + record.du
-            )
-            if region.country == record.country:
+            by_region[region_id] = by_region.get(region_id, 0.0) + record.du
+            if same_country:
                 in_country += record.du
-            if (
-                self._geography.get(region.country).continent
-                is self._geography.get(record.country).continent
-            ):
+            if same_continent:
                 in_continent += record.du
         if total <= 0:
             raise ValueError("no routable demand")
@@ -121,6 +140,19 @@ class PlatformDeployment:
             in_country_fraction=in_country / total,
             in_continent_fraction=in_continent / total,
             demand_by_region=by_region,
+        )
+
+    def _outcome(self, iso2: str) -> Optional[Tuple[str, bool, bool]]:
+        """Where one client country's demand is served (None if unknown)."""
+        client = self._geography.find(iso2)
+        if client is None:
+            return None
+        region = self.route(iso2)
+        served = self._geography.get(region.country)
+        return (
+            region.region_id,
+            region.country == iso2,
+            served.continent is client.continent,
         )
 
 

@@ -137,7 +137,7 @@ class RatioTable:
     def records(self, family: Optional[int] = None) -> List[RatioRecord]:
         if family is None:
             return list(self._by_subnet.values())
-        return [r for r in self._by_subnet.values() if r.family == family]
+        return [r for r in self._by_subnet.values() if r.subnet.family == family]
 
     # ---- distributions (Figure 2) -----------------------------------------
 
@@ -173,25 +173,41 @@ class RatioTable:
         Mirrors the paper's headline split: ratios < 0.1, 0.1-0.9, and
         > 0.9 (section 4.1 reports 91.3% / 2.9% / 5.8% for /24s).
         """
-        if not 0 <= low < high <= 1:
-            raise ValueError("need 0 <= low < high <= 1")
         records = self.records(family)
         if not records:
             raise ValueError(f"no IPv{family} ratio records")
-        total = low_sum = mid_sum = high_sum = 0.0
-        for record in records:
-            weight = 1.0 if demand is None else demand.du_of(record.subnet)
-            total += weight
-            if record.ratio < low:
-                low_sum += weight
-            elif record.ratio > high:
-                high_sum += weight
-            else:
-                mid_sum += weight
-        if total <= 0:
-            raise ValueError("no weight to distribute")
-        return {
-            "low": low_sum / total,
-            "intermediate": mid_sum / total,
-            "high": high_sum / total,
-        }
+        return bucket_fractions(records, low, high, demand)
+
+
+def bucket_fractions(
+    records: List[RatioRecord],
+    low: float = 0.1,
+    high: float = 0.9,
+    demand: Optional[DemandDataset] = None,
+) -> Dict[str, float]:
+    """:meth:`RatioTable.bucket_fractions` over records already in hand.
+
+    Callers that split one family several ways (Figure 2) select the
+    family's records once and pass them to each split.
+    """
+    if not 0 <= low < high <= 1:
+        raise ValueError("need 0 <= low < high <= 1")
+    du_of = None if demand is None else demand.du_of
+    total = low_sum = mid_sum = high_sum = 0.0
+    for record in records:
+        weight = 1.0 if du_of is None else du_of(record.subnet)
+        total += weight
+        ratio = record.ratio
+        if ratio < low:
+            low_sum += weight
+        elif ratio > high:
+            high_sum += weight
+        else:
+            mid_sum += weight
+    if total <= 0:
+        raise ValueError("no weight to distribute")
+    return {
+        "low": low_sum / total,
+        "intermediate": mid_sum / total,
+        "high": high_sum / total,
+    }

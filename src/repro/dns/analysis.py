@@ -51,17 +51,19 @@ def resolver_cellular_fractions(
     ``asns`` restricts to client subnets of the given ASes (the paper
     evaluates resolvers of the 392 mixed cellular ASes).
     """
+    labels = classification.labels.get
     cellular: Dict[str, float] = {}
     fixed: Dict[str, float] = {}
     meta: Dict[str, Optional[int]] = {}
     for record in affinity:
         if asns is not None and record.asn not in asns:
             continue
-        if record.resolver.is_public and not include_public:
+        resolver = record.resolver
+        if resolver.is_public and not include_public:
             continue
-        key = record.resolver.resolver_id
-        meta[key] = record.resolver.asn
-        if classification.is_cellular(record.subnet):
+        key = resolver.resolver_id
+        meta[key] = resolver.asn
+        if labels(record.subnet, False):
             cellular[key] = cellular.get(key, 0.0) + record.du
         else:
             fixed[key] = fixed.get(key, 0.0) + record.du
@@ -111,13 +113,14 @@ def public_dns_usage(
     asns: Iterable[int],
 ) -> Dict[int, PublicDNSUsage]:
     """Public DNS usage among *cellular* client demand, per operator."""
+    labels = classification.labels.get
     result: Dict[int, PublicDNSUsage] = {}
     for asn in asns:
         total = 0.0
         by_service: Dict[str, float] = {}
         country = ""
         for record in affinity.records_of_asn(asn):
-            if not classification.is_cellular(record.subnet):
+            if not labels(record.subnet, False):
                 continue
             country = record.country
             total += record.du

@@ -10,6 +10,7 @@ Paper anchors for the bucket split (<0.1 / 0.1-0.9 / >0.9):
 
 from __future__ import annotations
 
+from repro.core.ratios import bucket_fractions
 from repro.experiments.base import Comparison, ExperimentResult, experiment
 from repro.lab import Lab
 
@@ -25,12 +26,15 @@ PAPER = {
 def run(lab: Lab) -> ExperimentResult:
     ratios = lab.result.ratios
     demand = lab.demand
+    by_family = {family: ratios.records(family) for family in (4, 6)}
+    splits = {}
     rows = []
     comparisons = []
     for scope in ("subnets", "demand"):
         for family in (4, 6):
             weights = demand if scope == "demand" else None
-            buckets = ratios.bucket_fractions(family, demand=weights)
+            buckets = bucket_fractions(by_family[family], demand=weights)
+            splits[(scope, family)] = buckets
             paper_low, paper_mid, paper_high = PAPER[(scope, family)]
             rows.append(
                 [
@@ -54,7 +58,7 @@ def run(lab: Lab) -> ExperimentResult:
             )
     # Shape check: the distribution is bimodal -- almost nothing sits in
     # the intermediate band for subnet counts.
-    v4 = ratios.bucket_fractions(4)
+    v4 = splits[("subnets", 4)]
     comparisons.append(
         Comparison("IPv4 subnets: intermediate band", 0.029, v4["intermediate"], 1.5)
     )

@@ -9,7 +9,7 @@ homogeneous with respect to access technology.  :func:`slash24_of` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.net.addr import (
     IPV4_BITS,
@@ -23,13 +23,19 @@ from repro.net.addr import (
 PAPER_GRANULARITY = {4: 24, 6: 48}
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
+class Prefix(NamedTuple):
     """An immutable CIDR prefix: address family, network bits, length.
 
     ``value`` holds only the network bits (host bits are forced to zero
     by :meth:`make`), so two textual spellings of the same block compare
     and hash equal.
+
+    The type is tuple-backed, so every subnet-keyed dict and set in
+    the system hashes and compares prefixes in C.  Set iteration
+    orders, and through them the golden outputs and digests, depend on
+    ``hash(p) == hash((p.family, p.value, p.length))``; sorting is
+    field-tuple order.  One deliberate consequence: a prefix also
+    compares equal to the plain tuple ``(family, value, length)``.
     """
 
     family: int

@@ -57,11 +57,15 @@ class Country:
             raise ValueError(f"bad coordinate for {self.iso2}")
 
 
+#: Mean Earth radius used by :func:`haversine_km`.
+EARTH_RADIUS_KM = 6371.0
+
+
 def haversine_km(
     lat1: float, lon1: float, lat2: float, lon2: float
 ) -> float:
     """Great-circle distance between two coordinates, in kilometres."""
-    radius_km = 6371.0
+    radius_km = EARTH_RADIUS_KM
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = math.radians(lat2 - lat1)
     dlambda = math.radians(lon2 - lon1)

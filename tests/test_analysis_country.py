@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.continent import DEFAULT_DEMAND_EXCLUSIONS
 from repro.analysis.country import (
     country_demand_stats,
     frontier_countries,
@@ -84,3 +85,71 @@ class TestCountryStats:
         )
         assert stats["US"].cellular_du == 0.0
         assert stats["GH"].cellular_du > 0
+
+
+class TestAgainstReferenceLoop:
+    """Exact floats against a plain per-record loop, on every edge: an
+    excluded country (CN), a country outside the geography (ZZ),
+    unobserved subnets, and a restriction leaving out a cellular AS."""
+
+    @pytest.fixture()
+    def edges(self):
+        table = RatioTable(
+            [
+                RatioRecord(p("10.1.0.0/24"), 1, "US", 10, 10, 10),
+                RatioRecord(p("10.1.1.0/24"), 1, "US", 10, 0, 10),
+                RatioRecord(p("10.1.2.0/24"), 3, "US", 10, 9, 10),
+                RatioRecord(p("10.1.3.0/24"), 2, "GH", 10, 10, 10),
+                RatioRecord(p("2001:db8:1::/48"), 4, "JP", 10, 10, 10),
+                RatioRecord(p("10.1.4.0/24"), 9, "CN", 10, 10, 10),
+                RatioRecord(p("10.1.5.0/24"), 6, "ZZ", 10, 10, 10),
+            ]
+        )
+        demand = DemandDataset.from_request_totals(
+            [
+                (p("10.1.0.0/24"), 1, "US", 517),
+                (p("10.1.1.0/24"), 1, "US", 389),
+                (p("10.1.2.0/24"), 3, "US", 73),
+                (p("10.1.3.0/24"), 2, "GH", 51),
+                (p("2001:db8:1::/48"), 4, "JP", 31),
+                (p("10.1.4.0/24"), 9, "CN", 23),
+                (p("10.1.5.0/24"), 6, "ZZ", 19),
+                (p("10.1.6.0/24"), 1, "US", 211),
+                (p("10.1.7.0/24"), 5, "FR", 37),
+            ]
+        )
+        return SubnetClassifier(0.5).classify(table), demand, default_geography()
+
+    @staticmethod
+    def reference(classification, demand, geography, restrict):
+        cellular, total = {}, {}
+        for record in demand:
+            if record.country in DEFAULT_DEMAND_EXCLUSIONS:
+                continue
+            if geography.find(record.country) is None:
+                continue
+            total[record.country] = total.get(record.country, 0.0) + record.du
+            if not classification.is_cellular(record.subnet):
+                continue
+            if restrict is not None and record.asn not in restrict:
+                continue
+            cellular[record.country] = (
+                cellular.get(record.country, 0.0) + record.du
+            )
+        return cellular, total
+
+    @pytest.mark.parametrize("restrict", [None, frozenset({1, 2, 4, 5, 6, 9})])
+    def test_country_demand_stats(self, edges, restrict):
+        classification, demand, geography = edges
+        stats = country_demand_stats(
+            classification, demand, geography, restrict_to_asns=restrict
+        )
+        cellular, total = self.reference(
+            classification, demand, geography, restrict
+        )
+        assert list(stats) == list(total) == ["US", "GH", "JP", "FR"]
+        for iso2, row in stats.items():
+            assert row.total_du == total[iso2]
+            assert row.cellular_du == cellular.get(iso2, 0.0)
+            assert row.global_cellular_du == sum(cellular.values())
+            assert row.continent is geography.get(iso2).continent

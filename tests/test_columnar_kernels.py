@@ -13,6 +13,7 @@ cross-backend cases additionally diff numpy against python directly.
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
 from types import SimpleNamespace
@@ -373,6 +374,35 @@ def test_backend_dispatch_precedence(monkeypatch):
         set_backend("auto")
         if numpy_available():
             assert active_backend_name() == "numpy"
+    finally:
+        set_backend(previous)
+
+
+#: Names the backend a CI arm installs.  Only this test reads it; the
+#: dispatch under test never does.
+EXPECTED_BACKEND_ENV = "CELLSPOT_EXPECT_BACKEND"
+
+
+def test_auto_detection_picks_the_installed_backend(monkeypatch):
+    """With nothing forced and no backend env var, detection alone must
+    resolve to the environment's backend: classifying on the fallback in
+    a numpy-equipped environment, or the reverse, would invalidate every
+    number a backend arm produces.  Without an expectation, numpy is
+    expected exactly when it is installed."""
+    expected = os.environ.get(EXPECTED_BACKEND_ENV) or (
+        "numpy" if numpy_available() else "python"
+    )
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    previous = set_backend(None)
+    try:
+        assert numpy_available() == (expected == "numpy"), (
+            f"numpy_available()={numpy_available()} in the {expected} arm"
+        )
+        actual = active_backend_name()
+        assert actual == expected, (
+            f"backend auto-detection picked {actual!r}, "
+            f"this arm requires {expected!r}"
+        )
     finally:
         set_backend(previous)
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.dns.affinity import build_affinity
+from repro.core.classifier import SubnetClassifier
+from repro.core.ratios import RatioRecord, RatioTable
+from repro.dns.affinity import AffinityRecord, ResolverAffinity, build_affinity
 from repro.dns.analysis import (
     public_dns_usage,
     resolver_cellular_fractions,
@@ -17,6 +19,7 @@ from repro.dns.public import (
 )
 from repro.dns.resolvers import Resolver, ServingPolicy, deploy_resolvers
 from repro.net.asn import ASType
+from repro.net.prefix import Prefix
 
 
 class TestPublicServices:
@@ -182,3 +185,85 @@ class TestAnalyses:
         )
         assert report.cellular_km > report.fixed_km
         assert report.asymmetry > 2
+
+
+class TestAgainstReferenceLoop:
+    """Exact floats against plain per-record loops: unobserved client
+    subnets, public resolvers on and off, and an AS restriction that
+    leaves out one cellular AS."""
+
+    @pytest.fixture()
+    def edges(self):
+        def resolver(rid, asn=None, service=None):
+            return Resolver(rid, asn=asn, service=service,
+                            country="US" if asn else None,
+                            latitude=40.0, longitude=-75.0)
+
+        own1, own3 = resolver("r1", asn=1), resolver("r3", asn=3)
+        google = resolver("google", service="GoogleDNS")
+        level3 = resolver("level3", service="Level3")
+        rows = [
+            ("10.2.0.0/24", 1, own1, 5.17, True),
+            ("10.2.1.0/24", 1, own1, 3.89, False),
+            ("10.2.2.0/24", 1, google, 0.73, True),
+            ("10.2.3.0/24", 3, own3, 0.51, True),
+            ("10.2.4.0/24", 3, level3, 0.97, True),
+            ("10.2.5.0/24", 3, own3, 0.61, False),
+            ("10.2.6.0/24", 1, own1, 0.31, None),  # unobserved
+            ("10.2.7.0/24", 3, google, 0.43, None),  # unobserved
+            ("10.2.8.0/24", 5, own1, 0.29, True),
+        ]
+        affinity = ResolverAffinity(
+            AffinityRecord(Prefix.parse(text), asn, "US", res, du, 40.1, -75.1)
+            for text, asn, res, du, _ in rows
+        )
+        classification = SubnetClassifier(0.5).classify(
+            RatioTable(
+                RatioRecord(Prefix.parse(text), asn, "US", 10,
+                            10 if cellular else 0, 10)
+                for text, asn, _, _, cellular in rows
+                if cellular is not None
+            )
+        )
+        return affinity, classification
+
+    @pytest.mark.parametrize("include_public", [False, True])
+    @pytest.mark.parametrize("asns", [None, frozenset({1, 5})])
+    def test_resolver_cellular_fractions(self, edges, asns, include_public):
+        affinity, classification = edges
+        shares = resolver_cellular_fractions(
+            affinity, classification, asns=asns, include_public=include_public
+        )
+        cellular, fixed, meta = {}, {}, {}
+        for record in affinity:
+            if asns is not None and record.asn not in asns:
+                continue
+            if record.resolver.is_public and not include_public:
+                continue
+            key = record.resolver.resolver_id
+            meta[key] = record.resolver.asn
+            side = cellular if classification.is_cellular(record.subnet) else fixed
+            side[key] = side.get(key, 0.0) + record.du
+        assert [
+            (s.resolver_id, s.asn, s.cellular_du, s.fixed_du) for s in shares
+        ] == [
+            (key, meta[key], cellular.get(key, 0.0), fixed.get(key, 0.0))
+            for key in meta
+        ]
+        assert shares
+
+    def test_public_dns_usage(self, edges):
+        affinity, classification = edges
+        usage = public_dns_usage(affinity, classification, [1, 3, 5])
+        for asn in (1, 3, 5):
+            total, by_service = 0.0, {}
+            for record in affinity.records_of_asn(asn):
+                if not classification.is_cellular(record.subnet):
+                    continue
+                total += record.du
+                if record.resolver.is_public:
+                    service = record.resolver.service
+                    by_service[service] = by_service.get(service, 0.0) + record.du
+            assert usage[asn].total_du == total
+            assert usage[asn].by_service == by_service
+        assert usage[3].by_service == {"Level3": 0.97}

@@ -9,7 +9,7 @@ from repro.cdn.platform import (
 )
 from repro.datasets.demand_dataset import DemandDataset
 from repro.net.prefix import Prefix
-from repro.world.geo import default_geography
+from repro.world.geo import default_geography, haversine_km
 
 
 def region(region_id="US-0", country="US", lat=38.9, lon=-77.0,
@@ -95,3 +95,79 @@ class TestDeployment:
             r.region_id for r in b.regions
         ]
         assert a.total_servers == b.total_servers
+
+
+def reference_route(platform, geography, iso2):
+    client = geography.get(iso2)
+    return min(
+        platform.regions,
+        key=lambda region: (
+            haversine_km(client.latitude, client.longitude,
+                         region.latitude, region.longitude),
+            -region.servers,
+        ),
+    )
+
+
+class TestAgainstReferenceLoop:
+    """Routing and the service report against plain per-record loops."""
+
+    def test_route_matches_haversine_min(self, tiny_world):
+        platform = deploy_platform(tiny_world)
+        geography = tiny_world.geography
+        for country in geography:
+            assert platform.route(country.iso2) is reference_route(
+                platform, geography, country.iso2
+            )
+
+    def test_tie_breaks_toward_larger_then_first(self):
+        geography = default_geography()
+        twins = [
+            region("A-0", "US", 38.9, -77.0, servers=10),
+            region("A-1", "US", 38.9, -77.0, servers=30),
+            region("A-2", "US", 38.9, -77.0, servers=30),
+        ]
+        platform = PlatformDeployment(twins, geography)
+        assert platform.route("CA").region_id == "A-1"
+        assert reference_route(platform, geography, "CA").region_id == "A-1"
+
+    def test_service_report(self):
+        geography = default_geography()
+        platform = PlatformDeployment(
+            [
+                region("US-0", "US", 38.9, -77.0, servers=100),
+                region("DE-0", "DE", 52.5, 13.4, servers=50),
+                region("SG-0", "SG", 1.3, 103.8, servers=40),
+            ],
+            geography,
+        )
+        demand = DemandDataset.from_request_totals(
+            (Prefix.make(4, index << 8, 24), 9, iso2, requests)
+            for index, (iso2, requests) in enumerate(
+                [("US", 517), ("FR", 389), ("CN", 73), ("ZZ", 51),
+                 ("US", 97), ("BR", 61), ("AU", 31), ("FR", 43)]
+            )
+        )
+        report = platform.service_report(demand)
+        in_country = in_continent = total = 0.0
+        by_region = {}
+        for record in demand:
+            if geography.find(record.country) is None:
+                continue
+            served = reference_route(platform, geography, record.country)
+            total += record.du
+            by_region[served.region_id] = (
+                by_region.get(served.region_id, 0.0) + record.du
+            )
+            if served.country == record.country:
+                in_country += record.du
+            if (
+                geography.get(served.country).continent
+                is geography.get(record.country).continent
+            ):
+                in_continent += record.du
+        assert report.in_country_fraction == in_country / total
+        assert report.in_continent_fraction == in_continent / total
+        assert report.demand_by_region == by_region
+        assert list(report.demand_by_region) == list(by_region)
+        assert 0 < report.in_continent_fraction < 1

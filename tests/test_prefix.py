@@ -1,10 +1,12 @@
 """Unit tests for repro.net.prefix."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.addr import AddressError
+from repro.net.addr import AddressError, format_ip
 from repro.net.prefix import Prefix, slash24_of, slash48_of, subnet_key
 
 
@@ -88,6 +90,81 @@ class TestGeometry:
         assert Prefix.parse("128.0.0.0/1").key_bits() == "1"
         assert Prefix.parse("0.0.0.0/0").key_bits() == ""
         assert len(Prefix.parse("2001:db8::/48").key_bits()) == 48
+
+
+def _prefixes():
+    """Masked prefixes of both families at every length."""
+    v4 = st.builds(
+        Prefix.make,
+        st.just(4),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(min_value=0, max_value=32),
+    )
+    v6 = st.builds(
+        Prefix.make,
+        st.just(6),
+        st.integers(min_value=0, max_value=(1 << 128) - 1),
+        st.integers(min_value=0, max_value=128),
+    )
+    return st.one_of(v4, v6)
+
+
+class TestValueContract:
+    """What subnet-keyed dicts, sorted outputs and the goldens rely on.
+
+    Set iteration order follows the hash, and every digest and golden
+    snapshot follows set and sort order, so these pin the behaviour the
+    outputs were computed with.
+    """
+
+    @given(_prefixes())
+    def test_hash_is_the_field_tuple_hash(self, prefix):
+        assert hash(prefix) == hash((prefix.family, prefix.value, prefix.length))
+
+    @given(st.lists(_prefixes(), max_size=30))
+    def test_sorting_is_field_tuple_order(self, prefixes):
+        as_tuples = [(p.family, p.value, p.length) for p in prefixes]
+        assert [
+            (p.family, p.value, p.length) for p in sorted(prefixes)
+        ] == sorted(as_tuples)
+
+    def test_sorting_spans_families_and_lengths(self):
+        texts = ["2001:db8::/48", "10.0.0.0/8", "::/0", "10.0.0.0/24", "9.0.0.0/8"]
+        assert [str(p) for p in sorted(Prefix.parse(t) for t in texts)] == [
+            "9.0.0.0/8", "10.0.0.0/8", "10.0.0.0/24", "::/0", "2001:db8::/48",
+        ]
+
+    def test_repr(self):
+        assert repr(Prefix.parse("10.0.1.0/24")) == (
+            "Prefix(family=4, value=167772416, length=24)"
+        )
+        assert repr(Prefix.parse("::/0")) == "Prefix(family=6, value=0, length=0)"
+
+    @given(_prefixes())
+    def test_pickle_round_trip(self, prefix):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(prefix, protocol=protocol))
+            assert again == prefix and type(again) is Prefix
+            assert hash(again) == hash(prefix)
+
+    @given(
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(min_value=0, max_value=32),
+    )
+    def test_make_and_parse_mask_host_bits(self, value, length):
+        prefix = Prefix.make(4, value, length)
+        host_bits = (1 << (32 - length)) - 1
+        assert prefix.value & host_bits == 0
+        assert prefix.value == value & ~host_bits & 0xFFFFFFFF
+        assert Prefix.parse(f"{format_ip(4, value)}/{length}") == prefix
+
+    def test_equals_the_plain_field_tuple(self):
+        # Deliberate: the type is tuple-backed, so a prefix and its field
+        # tuple are interchangeable as dict and set keys.
+        prefix = Prefix.parse("10.0.1.0/24")
+        assert prefix == (4, 167772416, 24)
+        assert (4, 167772416, 24) in {prefix}
+        assert {prefix: 1}[(4, 167772416, 24)] == 1
 
 
 class TestAggregationKeys:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ratios import RatioRecord, RatioTable
+from repro.core.ratios import RatioRecord, RatioTable, bucket_fractions
 from repro.datasets.beacon_dataset import BeaconDataset, SubnetBeaconCounts
 from repro.datasets.demand_dataset import DemandDataset
 from repro.net.prefix import Prefix
@@ -120,3 +120,33 @@ class TestDistributions:
         table = RatioTable([record()])
         with pytest.raises(ValueError):
             table.bucket_fractions(4, low=0.9, high=0.1)
+        with pytest.raises(ValueError):
+            bucket_fractions([record()], low=0.9, high=0.1)
+        with pytest.raises(ValueError):
+            bucket_fractions([])
+
+    def test_bucket_fractions_over_records_in_hand(self):
+        # Figure 2 selects each family's records once and splits them
+        # twice; the split must equal the table method's, weights and all.
+        rows = [
+            record("10.0.0.0/24", api=7, cell=1),
+            record("2001:db8::/48", api=9, cell=9),
+            record("10.0.1.0/24", api=13, cell=6),
+            record("10.0.2.0/24", api=11, cell=11),
+            record("10.0.3.0/24", api=5, cell=0),
+        ]
+        table = RatioTable(rows)
+        demand = DemandDataset.from_request_totals(
+            [
+                (Prefix.parse("10.0.0.0/24"), 1, "US", 37),
+                (Prefix.parse("10.0.1.0/24"), 1, "US", 101),
+                (Prefix.parse("10.0.2.0/24"), 1, "US", 13),
+                (Prefix.parse("2001:db8::/48"), 1, "US", 7),
+            ]
+        )
+        for family in (4, 6):
+            records = table.records(family)
+            for weights in (None, demand):
+                assert bucket_fractions(records, demand=weights) == (
+                    table.bucket_fractions(family, demand=weights)
+                )
