@@ -64,13 +64,14 @@ def subnet_demand_concentration(
     Only demand-active subnets enter the ranked curves, mirroring the
     paper's ranked-demand plot.
     """
+    labels = classification.labels.get
     cellular: List[float] = []
     fixed: List[float] = []
     for subnet, record in classification.records.items():
         du = demand.du_of(subnet)
         if du <= 0 or record.asn != asn:
             continue
-        if classification.is_cellular(subnet):
+        if labels(subnet, False):
             cellular.append(du)
         else:
             fixed.append(du)

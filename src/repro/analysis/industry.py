@@ -54,12 +54,13 @@ def byte_share_report(
     """
     if cellular_bytes_per_request <= 0:
         raise ValueError("bytes-per-request ratio must be positive")
+    labels = classification.labels.get
     cellular_du = total_du = 0.0
     for record in demand:
         if record.country in exclude_countries:
             continue
         total_du += record.du
-        if not classification.is_cellular(record.subnet):
+        if not labels(record.subnet, False):
             continue
         if restrict_to_asns is not None and record.asn not in restrict_to_asns:
             continue

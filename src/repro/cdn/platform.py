@@ -16,6 +16,7 @@ system rather than a disembodied log source:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -27,6 +28,12 @@ from repro.world.geo import EARTH_RADIUS_KM, Geography
 #: Paper-reported fleet shape (full scale).
 PAPER_SERVER_COUNT = 200_000
 PAPER_DEPLOYMENT_NETWORKS = 1_450
+
+#: Slack on the routing walk's latitude bound, in km.  It covers the
+#: rounding of the computed distance (worst near antipodes, where
+#: ``asin`` is ill-conditioned: ~1e-4 km), so no region that could win
+#: or tie is pruned.
+_ROUTE_SLACK_KM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -54,19 +61,21 @@ class PlatformDeployment:
             raise ValueError("a platform needs at least one region")
         self.regions = list(regions)
         self._geography = geography
-        self._routes: Dict[str, ServerRegion] = {}
-        # Per-region routing terms, computed once: (latitude, longitude,
-        # cos of the latitude in radians, -servers for the tie-break).
-        self._sites = [
+        # Per-region routing terms, computed once and ordered by
+        # latitude: (latitude, longitude, cos of the latitude in radians,
+        # -servers and list position for the tie-break, region).
+        self._sites = sorted(
             (
-                region,
                 region.latitude,
                 region.longitude,
                 math.cos(math.radians(region.latitude)),
                 -region.servers,
+                position,
+                region,
             )
-            for region in self.regions
-        ]
+            for position, region in enumerate(self.regions)
+        )
+        self._latitudes = [site[0] for site in self._sites]
 
     def __len__(self) -> int:
         return len(self.regions)
@@ -88,29 +97,51 @@ class PlatformDeployment:
     def route(self, client_country: str) -> ServerRegion:
         """Nearest deployed region for clients of a country.
 
-        Ties in distance break toward the larger region; results are
-        cached per country (anycast-style stable routing).
+        Ties in distance break toward the larger region, then toward the
+        earlier region in :attr:`regions`.  Regions are visited outward
+        from the client's latitude; a region ``dphi`` radians of
+        latitude away is at least ``EARTH_RADIUS_KM * |dphi|`` km away,
+        so the walk stops once that bound passes the best distance.
         """
-        cached = self._routes.get(client_country)
-        if cached is not None:
-            return cached
         client = self._geography.get(client_country)
         lat1, lon1 = client.latitude, client.longitude
         cos_phi1 = math.cos(math.radians(lat1))
-        # haversine_km term for term, with both cosines hoisted out of
-        # the loop, so distances and the tie-break match it bit for bit.
+        sites, latitudes = self._sites, self._latitudes
+        count = len(sites)
+        upper = bisect.bisect_left(latitudes, lat1)
+        lower = upper - 1
         best = best_key = None
-        for region, lat2, lon2, cos_phi2, neg_servers in self._sites:
+        reach = math.inf
+        while True:
+            # Take the nearer frontier in latitude, so the bound only
+            # grows and the first region past ``reach`` ends the walk.
+            if lower >= 0 and (
+                upper == count
+                or lat1 - latitudes[lower] <= latitudes[upper] - lat1
+            ):
+                site = sites[lower]
+                lower -= 1
+            elif upper < count:
+                site = sites[upper]
+                upper += 1
+            else:
+                break
+            lat2, lon2, cos_phi2, neg_servers, position, region = site
+            # haversine_km term for term, with both cosines hoisted out
+            # of the loop, so distances match it bit for bit.
             dphi = math.radians(lat2 - lat1)
+            if EARTH_RADIUS_KM * abs(dphi) > reach:
+                break
             dlambda = math.radians(lon2 - lon1)
             a = (
                 math.sin(dphi / 2) ** 2
                 + cos_phi1 * cos_phi2 * math.sin(dlambda / 2) ** 2
             )
-            key = (2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a)), neg_servers)
+            distance = 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+            key = (distance, neg_servers, position)
             if best_key is None or key < best_key:
                 best, best_key = region, key
-        self._routes[client_country] = best
+                reach = distance + _ROUTE_SLACK_KM
         return best
 
     def service_report(self, demand: DemandDataset) -> "ServiceReport":
@@ -186,6 +217,11 @@ def deploy_platform(
     scale = world.params.scale
     target_servers = max(50, round(PAPER_SERVER_COUNT * scale * 10))
     shares = world.topology.country_demand
+    hosts_by_country: Dict[str, List[int]] = {}
+    for plan in world.topology.plans.values():
+        record = plan.record
+        if record.as_type.is_access:
+            hosts_by_country.setdefault(record.country, []).append(record.asn)
     regions: List[ServerRegion] = []
     for iso2 in sorted(shares):
         share = shares[iso2]
@@ -193,11 +229,7 @@ def deploy_platform(
         if country is None or share <= 0:
             continue
         country_servers = max(2, round(target_servers * share))
-        hosts = [
-            plan.record.asn
-            for plan in world.topology.plans_in_country(iso2)
-            if plan.record.as_type.is_access
-        ]
+        hosts = hosts_by_country.get(iso2)
         if not hosts:
             continue
         site_count = max(1, min(len(hosts), round(math.sqrt(country_servers))))

@@ -17,9 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.classifier import SubnetClassifier
 from repro.core.ratios import RatioTable
-from repro.core.validation import validate_against_carrier
 from repro.datasets.demand_dataset import DemandDataset
 from repro.datasets.groundtruth import CarrierGroundTruth
+from repro.net.prefix import Prefix
+from repro.stats.confusion import BinaryConfusion
 
 
 def default_threshold_grid(step: float = 0.02) -> List[float]:
@@ -82,25 +83,52 @@ def sweep_thresholds(
     thresholds: Optional[Sequence[float]] = None,
     weighted: bool = True,
 ) -> ThresholdSweep:
-    """Score the classifier across a threshold grid for one carrier."""
+    """Score the classifier across a threshold grid for one carrier.
+
+    Equal, float for float, to classifying ``ratios`` with a
+    :class:`SubnetClassifier` at each threshold and scoring the result
+    with :func:`validate_against_carrier`.
+    """
     grid = list(thresholds) if thresholds is not None else default_threshold_grid()
     if not grid:
         raise ValueError("empty threshold grid")
+    classifiers = [SubnetClassifier(threshold=threshold) for threshold in grid]
     # Validation scores only the carrier's own prefixes, each by exact
-    # key, so classifying just their rows gives the full table's scores.
-    scored = {}
-    for prefix in truth.all_prefixes:
-        record = ratios.get(prefix)
-        if record is not None:
-            scored[prefix] = record
-    carrier_ratios = RatioTable(scored.values())
+    # key, so each one is read once into (ratio, weight): ratio is None
+    # when the prefix is unobserved or below the API-hit floor, which
+    # leaves it non-cellular at every threshold.
+    floor = classifiers[0].min_api_hits
+    use_demand = weighted and demand is not None
+
+    def scored(prefixes: Sequence[Prefix]) -> List[Tuple[Optional[float], float]]:
+        pairs = []
+        for prefix in prefixes:
+            record = ratios.get(prefix)
+            ratio = (
+                record.ratio
+                if record is not None and record.api_hits >= floor
+                else None
+            )
+            pairs.append((ratio, demand.du_of(prefix) if use_demand else 1.0))
+        return pairs
+
+    cellular, fixed = scored(truth.cellular), scored(truth.fixed)
     scores = []
-    for threshold in grid:
-        classifier = SubnetClassifier(threshold=threshold)
-        result = classifier.classify(carrier_ratios)
-        validation = validate_against_carrier(result, truth, demand)
-        confusion = validation.by_demand if weighted else validation.by_cidr
-        scores.append(confusion.f1)
+    for classifier in classifiers:
+        threshold = classifier.threshold
+        # validate_against_carrier's four cells, added in its order.
+        tp = fn = fp = tn = 0.0
+        for ratio, weight in cellular:
+            if ratio is not None and ratio >= threshold:
+                tp += weight
+            else:
+                fn += weight
+        for ratio, weight in fixed:
+            if ratio is not None and ratio >= threshold:
+                fp += weight
+            else:
+                tn += weight
+        scores.append(BinaryConfusion(tp=tp, fp=fp, tn=tn, fn=fn).f1)
     return ThresholdSweep(
         carrier=truth.label,
         thresholds=tuple(grid),

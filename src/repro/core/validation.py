@@ -47,13 +47,14 @@ def validate_against_carrier(
     """
     by_cidr = BinaryConfusion()
     by_demand = BinaryConfusion()
+    labels = result.labels.get
     for prefix in truth.cellular:
-        predicted = result.is_cellular(prefix)
+        predicted = labels(prefix, False)
         by_cidr.observe(True, predicted)
         weight = demand.du_of(prefix) if demand is not None else 1.0
         by_demand.observe(True, predicted, weight)
     for prefix in truth.fixed:
-        predicted = result.is_cellular(prefix)
+        predicted = labels(prefix, False)
         by_cidr.observe(False, predicted)
         weight = demand.du_of(prefix) if demand is not None else 1.0
         by_demand.observe(False, predicted, weight)

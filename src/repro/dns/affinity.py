@@ -18,7 +18,7 @@ from resolvers that are proximal to the fixed customers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dns.public import normalized_popularity
 from repro.dns.resolvers import Resolver, deploy_resolvers
@@ -63,9 +63,21 @@ class ResolverAffinity:
 
     def __init__(self, records: Iterable[AffinityRecord]) -> None:
         self._records = list(records)
-        self._by_asn: Dict[int, List[AffinityRecord]] = {}
-        for record in self._records:
-            self._by_asn.setdefault(record.asn, []).append(record)
+        # ASN -> its runs of consecutive records, as (start, stop)
+        # positions in the record stream.  One AS's runs interleave with
+        # other ASes', so the positions keep any selection of ASes in
+        # stream order.
+        self._by_asn: Dict[int, List[Tuple[int, int]]] = {}
+        run_asn, start = None, 0
+        for position, record in enumerate(self._records):
+            if record.asn != run_asn:
+                if position:
+                    self._by_asn.setdefault(run_asn, []).append((start, position))
+                run_asn, start = record.asn, position
+        if self._records:
+            self._by_asn.setdefault(run_asn, []).append(
+                (start, len(self._records))
+            )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -74,7 +86,16 @@ class ResolverAffinity:
         return iter(self._records)
 
     def records_of_asn(self, asn: int) -> List[AffinityRecord]:
-        return self._by_asn.get(asn, [])
+        return self.records_of_asns((asn,))
+
+    def records_of_asns(self, asns: Collection[int]) -> List[AffinityRecord]:
+        """Records of the given ASes, in stream order."""
+        records = self._records
+        runs = sorted({run for asn in asns for run in self._by_asn.get(asn, ())})
+        selected: List[AffinityRecord] = []
+        for start, stop in runs:
+            selected.extend(records[start:stop])
+        return selected
 
     def resolvers(self) -> List[Resolver]:
         """Distinct resolvers with at least one client."""

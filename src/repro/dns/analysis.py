@@ -49,15 +49,16 @@ def resolver_cellular_fractions(
     """Per-resolver cellular demand fractions (Figure 9).
 
     ``asns`` restricts to client subnets of the given ASes (the paper
-    evaluates resolvers of the 392 mixed cellular ASes).
+    evaluates resolvers of the 392 mixed cellular ASes); their records
+    come from the affinity's per-AS index, in stream order, so shares,
+    sums and resolver order match a filtered scan of every record.
     """
     labels = classification.labels.get
     cellular: Dict[str, float] = {}
     fixed: Dict[str, float] = {}
     meta: Dict[str, Optional[int]] = {}
-    for record in affinity:
-        if asns is not None and record.asn not in asns:
-            continue
+    records = affinity if asns is None else affinity.records_of_asns(asns)
+    for record in records:
         resolver = record.resolver
         if resolver.is_public and not include_public:
             continue
@@ -156,6 +157,7 @@ def resolver_distance_report(
     asn: int,
 ) -> DistanceReport:
     """Distance asymmetry for one mixed operator (the Brazil case)."""
+    labels = classification.labels.get
     cellular_sum = cellular_weight = 0.0
     fixed_sum = fixed_weight = 0.0
     country = ""
@@ -164,7 +166,7 @@ def resolver_distance_report(
         if distance is None:
             continue
         country = record.country
-        if classification.is_cellular(record.subnet):
+        if labels(record.subnet, False):
             cellular_sum += distance * record.du
             cellular_weight += record.du
         else:

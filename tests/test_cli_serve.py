@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.net.addr import format_ip
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -88,6 +94,61 @@ class TestServeCommand:
         assert lines[3]["ok"] is False
         assert lines[4]["shutdown"] is True
         assert snapshot.exists()
+
+    def test_hundred_line_session_then_resume_query(
+        self, capsys, hits_file, tmp_path
+    ):
+        """A real stdin pipe: 100 mixed lines, then a resumed query.
+
+        The server answers every line, refuses exactly the 5 malformed
+        ones (broken JSON, a blank line, an unknown op, a query without
+        ``q``, a non-object), exits 0 and leaves a snapshot that
+        ``cellspot query`` resumes from.
+        """
+        requests = [
+            json.dumps({"op": "query", "q": f"1.0.{i}.9"}) for i in range(40)
+        ]
+        requests += [
+            json.dumps({"op": "query", "q": f"1.0.{i}.0/24"})
+            for i in range(20)
+        ]
+        requests += [
+            json.dumps({"op": "query", "qs": [f"2.0.{i}.1", "not-an-ip"]})
+            for i in range(20)
+        ]
+        malformed = ["{broken", "", '{"op": "nope"}', '{"op": "query"}', "[]"]
+        requests += malformed
+        requests += [json.dumps({"op": "stats"})] * 14
+        requests.append(json.dumps({"op": "shutdown"}))
+        assert len(requests) == 100
+        snapshot = tmp_path / "snap.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--events", str(hits_file), "--snapshot", str(snapshot),
+             "--window-events", "5000"],
+            input="\n".join(requests) + "\n", cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        answers = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(answers) == 100
+        assert answers[-1].get("shutdown") is True
+        refused = [i for i, answer in enumerate(answers) if not answer["ok"]]
+        assert refused == list(range(80, 80 + len(malformed)))
+        assert snapshot.stat().st_size > 0
+
+        # The resumed run must ask for the snapshot's window policy;
+        # any other policy is refused (exit 2, see below).
+        assert main([
+            "query", "1.0.0.9", "1.0.0.0/8",
+            "--events", str(hits_file), "--snapshot", str(snapshot),
+            "--window-events", "5000",
+        ]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_resume_then_drain_matches_batch(
         self, monkeypatch, capsys, hits_file, beacon_hits, tmp_path

@@ -9,7 +9,14 @@ from repro.cdn.platform import (
 )
 from repro.datasets.demand_dataset import DemandDataset
 from repro.net.prefix import Prefix
-from repro.world.geo import default_geography, haversine_km
+from repro.world.build import WorldParams, build_world
+from repro.world.geo import (
+    Continent,
+    Country,
+    Geography,
+    default_geography,
+    haversine_km,
+)
 
 
 def region(region_id="US-0", country="US", lat=38.9, lon=-77.0,
@@ -171,3 +178,94 @@ class TestAgainstReferenceLoop:
         assert report.demand_by_region == by_region
         assert list(report.demand_by_region) == list(by_region)
         assert 0 < report.in_continent_fraction < 1
+
+
+class TestRouteAgainstBruteForce:
+    """The latitude-bounded walk returns the brute-force ``min`` region,
+    the same object, for every client."""
+
+    @pytest.mark.parametrize("scale", [0.002, 0.005])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_deployed_worlds(self, seed, scale):
+        world = build_world(WorldParams(seed=seed, scale=scale))
+        platform = deploy_platform(world)
+        geography = world.geography
+        for country in geography:
+            assert platform.route(country.iso2) is reference_route(
+                platform, geography, country.iso2
+            )
+
+    @staticmethod
+    def clients():
+        # Exactly representable coordinates, so latitude gaps tie exactly.
+        coordinates = [
+            ("AA", 0.0, 0.0), ("AB", 10.0, 179.5), ("AC", -45.0, -179.5),
+            ("AD", 88.0, 0.0), ("AE", -88.0, 90.0), ("AF", 0.0, 180.0),
+            ("AG", 32.0, -180.0), ("AH", 90.0, 45.0), ("AI", -90.0, -45.0),
+        ]
+        return Geography(
+            Country(iso2, iso2, Continent.EUROPE, 1.0, lat, lon)
+            for iso2, lat, lon in coordinates
+        )
+
+    def assert_routes_match(self, regions):
+        geography = self.clients()
+        platform = PlatformDeployment(regions, geography)
+        for client in geography:
+            assert platform.route(client.iso2) is reference_route(
+                platform, geography, client.iso2
+            )
+        return platform
+
+    def test_poles(self):
+        self.assert_routes_match([
+            region("N-0", lat=89.99, lon=0.0),
+            region("N-1", lat=90.0, lon=120.0),
+            region("N-2", lat=89.5, lon=-179.9),
+            region("S-0", lat=-89.99, lon=45.0),
+            region("S-1", lat=-90.0, lon=-100.0),
+            region("S-2", lat=-89.5, lon=179.9),
+            region("E-0", lat=0.5, lon=30.0),
+        ])
+
+    def test_antimeridian(self):
+        platform = self.assert_routes_match([
+            region("W-0", lat=10.0, lon=-179.75),
+            region("E-0", lat=10.0, lon=178.5),
+            region("W-1", lat=-45.0, lon=-180.0),
+            region("E-1", lat=-45.0, lon=179.25),
+            region("W-2", lat=32.5, lon=179.999),
+            region("M-0", lat=0.0, lon=0.5),
+        ])
+        # Across the antimeridian, not the long way round.
+        assert platform.route("AB").region_id == "W-0"
+        assert platform.route("AF").region_id == "W-0"
+
+    def test_identical_coordinates(self):
+        platform = self.assert_routes_match([
+            region("T-0", lat=20.0, lon=20.0, servers=5),
+            region("T-1", lat=20.0, lon=20.0, servers=9),
+            region("T-2", lat=20.0, lon=20.0, servers=9),
+            region("T-3", lat=20.0, lon=20.0, servers=1),
+        ])
+        # Larger region first, then the earlier one in list order.
+        assert platform.route("AA").region_id == "T-1"
+
+    @pytest.mark.parametrize("north_first", [True, False])
+    @pytest.mark.parametrize("servers", [(4, 4), (4, 7), (7, 4)])
+    def test_equal_latitude_gaps(self, north_first, servers):
+        regions = []
+        for iso2, lat, lon in [("AA", 0.0, 0.0), ("AB", 10.0, 179.5),
+                               ("AC", -45.0, -179.5), ("AG", 32.0, -180.0)]:
+            north = region(f"{iso2}-N", lat=lat + 2.5, lon=lon,
+                           servers=servers[0])
+            south = region(f"{iso2}-S", lat=lat - 2.5, lon=lon,
+                           servers=servers[1])
+            regions += [north, south] if north_first else [south, north]
+        platform = self.assert_routes_match(regions)
+        north_wins = servers[0] > servers[1] or (
+            servers[0] == servers[1] and north_first
+        )
+        assert platform.route("AA").region_id == (
+            "AA-N" if north_wins else "AA-S"
+        )

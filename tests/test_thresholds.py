@@ -11,6 +11,7 @@ from repro.core.thresholds import (
     sweep_thresholds,
 )
 from repro.core.validation import validate_against_carrier
+from repro.datasets.demand_dataset import DemandDataset
 from repro.datasets.groundtruth import CarrierGroundTruth
 from repro.net.prefix import Prefix
 
@@ -133,3 +134,73 @@ class TestCarrierRowsOnly:
                 f1_scores=tuple(scores),
                 weighted=weighted,
             )
+
+
+def reference_scores(ratios, truth, demand, grid, weighted):
+    """Classify the whole table and validate it, once per threshold."""
+    scores = []
+    for threshold in grid:
+        result = SubnetClassifier(threshold=threshold).classify(ratios)
+        validation = validate_against_carrier(result, truth, demand)
+        confusion = validation.by_demand if weighted else validation.by_cidr
+        scores.append(confusion.f1)
+    return tuple(scores)
+
+
+class TestAgainstReferenceLoop:
+    """The sweep's F1 tuple is float-equal to per-threshold classify +
+    validate, including prefixes the classifier never labels cellular."""
+
+    @pytest.fixture()
+    def edges(self):
+        cellular = [p(f"10.2.{i}.0/24") for i in range(9)]
+        fixed = [p(f"10.3.{i}.0/24") for i in range(7)]
+        # (api_hits, cellular_hits) per observed prefix; a prefix with
+        # no entry is unobserved, one with 0 API hits sits below the
+        # classifier's API-hit floor.
+        counts = {
+            cellular[0]: (7, 6), cellular[1]: (3, 3), cellular[2]: (9, 2),
+            cellular[3]: (11, 10), cellular[4]: (0, 0), cellular[6]: (13, 7),
+            cellular[7]: (5, 1), cellular[8]: (17, 17),
+            fixed[0]: (7, 1), fixed[1]: (3, 3), fixed[2]: (0, 0),
+            fixed[4]: (19, 0), fixed[5]: (6, 5), fixed[6]: (23, 23),
+            p("10.9.0.0/24"): (5, 5),  # outside the carrier
+        }
+        # The public constructor refuses rows without API hits; tables
+        # adopted from merged shard columns are not re-checked.
+        ratios = RatioTable._from_ordered({
+            prefix: RatioRecord(prefix, 1, "US", api, cell, api + 4)
+            for prefix, (api, cell) in counts.items()
+        })
+        truth = CarrierGroundTruth(
+            label="Carrier E", asn=1, country="US", mixed=True,
+            cellular=tuple(cellular), fixed=tuple(fixed),
+        )
+        demand = DemandDataset.from_request_totals(
+            (prefix, 1, "US", 3 + 7 * index % 11)
+            for index, prefix in enumerate(
+                cellular[1:] + fixed[:5] + [p("10.9.0.0/24")]
+            )
+        )
+        return ratios, truth, demand
+
+    @pytest.mark.parametrize("with_demand", [True, False])
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize(
+        "grid", [None, [1.0, 0.05, 0.2, 0.5, 0.5, 0.7, 0.85, 0.9999, 1.0]]
+    )
+    def test_f1_float_equal(self, edges, weighted, with_demand, grid):
+        ratios, truth, demand = edges
+        demand = demand if with_demand else None
+        sweep = sweep_thresholds(ratios, truth, demand, grid, weighted)
+        grid = grid if grid is not None else default_threshold_grid()
+        expected = reference_scores(ratios, truth, demand, grid, weighted)
+        assert sweep.thresholds == tuple(grid)
+        assert sweep.f1_scores == expected
+        assert len(set(expected)) > 3
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0000001, 2.0])
+    def test_grid_point_outside_unit_interval_raises(self, edges, bad):
+        ratios, truth, demand = edges
+        with pytest.raises(ValueError):
+            sweep_thresholds(ratios, truth, demand, [0.5, bad, 0.9])
