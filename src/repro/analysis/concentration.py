@@ -68,8 +68,10 @@ def subnet_demand_concentration(
     cellular: List[float] = []
     fixed: List[float] = []
     for subnet, record in classification.records.items():
+        if record.asn != asn:
+            continue
         du = demand.du_of(subnet)
-        if du <= 0 or record.asn != asn:
+        if du <= 0:
             continue
         if labels(subnet, False):
             cellular.append(du)

@@ -56,11 +56,12 @@ def evaluate_key_findings(lab: Lab) -> List[Finding]:
 
     # Concentration inside the biggest carrier: few subnets, most demand.
     biggest = max(operators, key=lambda p: p.cellular_du)
+    records = result.classification.records
     subnet_dus = [
-        lab.demand.du_of(subnet)
+        du
         for subnet in result.classification.cellular_subnets()
-        if result.classification.records[subnet].asn == biggest.asn
-        and lab.demand.du_of(subnet) > 0
+        if records[subnet].asn == biggest.asn
+        and (du := lab.demand.du_of(subnet)) > 0
     ]
     covering = smallest_covering(subnet_dus, 0.99) if subnet_dus else 0
     concentrated = bool(subnet_dus) and covering <= max(

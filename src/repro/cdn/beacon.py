@@ -19,12 +19,14 @@ Javascript and emit nothing (section 6.1).
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.cdn.logs import BeaconHit
 from repro.cdn.netinfo import draw_connection_type
 from repro.datasets.beacon_dataset import BeaconDataset, SubnetBeaconCounts
+from repro.parallel.chunks import map_chunks
 from repro.stats.sampling import binomial, poisson, split_integer
 from repro.world.allocation import SubnetPlan
 from repro.world.build import World
@@ -86,25 +88,68 @@ class BeaconGenerator:
     # ---- fast aggregated path ---------------------------------------------
 
     def summarize(self) -> BeaconDataset:
-        """Generate per-subnet label counts without materializing hits."""
+        """Generate per-subnet label counts without materializing hits.
+
+        The subnets are drawn in contiguous world-order chunks, one per
+        CPU (:func:`repro.parallel.chunks.map_chunks`); the dataset is
+        the same for every split.
+        """
+        subnets = self.world.subnets()
+        mixes = [self._mix(mobile) for mobile in (False, True)]
+        columns = map_chunks(
+            lambda start, stop: self._summarize_chunk(mixes, start, stop),
+            len(subnets),
+        )
         dataset = BeaconDataset(month=self.config.month)
-        # Per mix, in first-use order: its browsers, split weights and
-        # API adoption (the same for every subnet), plus hit and API-hit
-        # tallies per browser, folded into the dataset at the end.
-        mixes: Dict[bool, Tuple[list, list, list, list, list]] = {}
-        for subnet in self.world.subnets():
+        for positions, hits, api_hits, cellular_hits, *_ in columns:
+            for position, *counts in zip(positions, hits, api_hits, cellular_hits):
+                subnet = subnets[position]
+                dataset.add_counts(
+                    SubnetBeaconCounts(subnet.prefix, subnet.asn, subnet.country,
+                                       *counts)
+                )
+        # Browser counters per mix, mixes in the order of their first use.
+        first_use = [min(use) for use in zip(*(chunk[4] for chunk in columns))]
+        tallies = [
+            [sum(per_chunk) for per_chunk in zip(*tally)]
+            for tally in zip(*(chunk[5:] for chunk in columns))
+        ]
+        for mobile in sorted((0, 1), key=first_use.__getitem__):
+            if first_use[mobile] == len(subnets):
+                continue  # no subnet drew from this mix
+            browsers = mixes[mobile][0]
+            hit_sums, api_sums = tallies[2 * mobile], tallies[2 * mobile + 1]
+            for browser, browser_hits, api in zip(browsers, hit_sums, api_sums):
+                dataset.observe_browser_batch(browser, browser_hits, api)
+        return dataset
+
+    def _summarize_chunk(self, mixes, start: int, stop: int) -> Tuple[array, ...]:
+        """Subnets ``[start, stop)`` as columns: world position, hits,
+        API hits and cellular hits per subnet that drew any hits; each
+        mix's first-use position (``len(subnets)`` if unused); then hit
+        and API-hit tallies per browser of each mix."""
+        subnets = self.world.subnets()
+        seed_text = self.world.seed_text(
+            f"{self.config.seed_salt}:{self.config.month}:sum:"
+        )
+        rows = [array("q") for _ in range(4)]
+        positions, hit_column, api_column, cellular_column = rows
+        first_use = array("q", [len(subnets)] * 2)
+        tallies = [[0] * len(mixes[mobile][0]) for mobile in (0, 0, 1, 1)]
+        for position in range(start, stop):
+            subnet = subnets[position]
             mean = self.mean_hits(subnet)
             if mean == 0.0:
                 continue  # a zero mean draws nothing: no RNG to seed
-            rng = self._subnet_rng(subnet, "sum")
+            rng = random.Random(seed_text + str(subnet.prefix))
             hits = poisson(rng, mean)
             if hits == 0:
                 continue
             mobile = self._uses_mobile_mix(subnet)
-            mix = mixes.get(mobile)
-            if mix is None:
-                mix = mixes[mobile] = self._mix_tallies(mobile)
-            _, weights, adoption, hit_sums, api_sums = mix
+            if first_use[mobile] == len(subnets):
+                first_use[mobile] = position
+            _, weights, adoption = mixes[mobile]
+            hit_sums, api_sums = tallies[2 * mobile], tallies[2 * mobile + 1]
             per_browser = split_integer(rng, hits, weights)
             api_total = 0
             for index, browser_hits in enumerate(per_browser):
@@ -112,31 +157,22 @@ class BeaconGenerator:
                 api_total += api_hits
                 hit_sums[index] += browser_hits
                 api_sums[index] += api_hits
-            cellular = binomial(rng, api_total, subnet.cellular_label_rate)
-            dataset.add_counts(
-                SubnetBeaconCounts(
-                    subnet=subnet.prefix,
-                    asn=subnet.asn,
-                    country=subnet.country,
-                    hits=hits,
-                    api_hits=api_total,
-                    cellular_hits=cellular,
-                )
+            positions.append(position)
+            hit_column.append(hits)
+            api_column.append(api_total)
+            cellular_column.append(
+                binomial(rng, api_total, subnet.cellular_label_rate)
             )
-        for browsers, _, _, hit_sums, api_sums in mixes.values():
-            for browser, browser_hits, api_hits in zip(browsers, hit_sums, api_sums):
-                dataset.observe_browser_batch(browser, browser_hits, api_hits)
-        return dataset
+        return (*rows, first_use, *(array("q", tally) for tally in tallies))
 
-    def _mix_tallies(self, mobile: bool) -> Tuple[list, list, list, list, list]:
+    def _mix(self, mobile: bool) -> Tuple[list, list, list]:
+        """A mix's browsers, split weights and API adoption."""
         mix = self.world.population.mix_for(mobile)
         browsers = list(mix)
         return (
             browsers,
             [mix[browser] for browser in browsers],
             [api_adoption(browser, self.config.month) for browser in browsers],
-            [0] * len(browsers),
-            [0] * len(browsers),
         )
 
     # ---- hit-level path -----------------------------------------------------

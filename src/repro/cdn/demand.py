@@ -10,12 +10,15 @@ drawn with lognormal day-to-day jitter, summed over a seven-day window
 
 from __future__ import annotations
 
+import random
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.cdn.logs import RequestRecord
 from repro.datasets.demand_dataset import DemandDataset
 from repro.net.prefix import Prefix
+from repro.parallel.chunks import map_chunks
 from repro.stats.sampling import poisson
 from repro.world.allocation import SubnetPlan
 from repro.world.build import World
@@ -54,26 +57,32 @@ class DemandGenerator:
             subnet.demand_weight / self._total_demand
         ) * self.config.daily_requests
 
-    def _daily_requests(self) -> Iterator[Tuple[SubnetPlan, List[int]]]:
-        """Each demand-active subnet with its request count per day.
+    def _daily_requests(self, start: int, stop: int) -> Iterator[Tuple[int, List[int]]]:
+        """World position and request count per day of each
+        demand-active subnet in ``[start, stop)``.
 
         The one place the per-subnet draws are made: per day, a
         lognormal jitter then a Poisson count, from the subnet's RNG.
         """
+        subnets = self.world.subnets()
+        seed_text = self.world.seed_text(f"{self.config.seed_salt}:")
         sigma = self.config.day_jitter_sigma
         days = range(self.config.days)
-        for subnet in self.world.subnets():
+        for position in range(start, stop):
+            subnet = subnets[position]
             mean = self._daily_mean(subnet)
             if mean <= 0:
                 continue
-            rng = self.world.rng(f"{self.config.seed_salt}:{subnet.prefix}")
-            yield subnet, [
+            rng = random.Random(seed_text + str(subnet.prefix))
+            yield position, [
                 poisson(rng, mean * rng.lognormvariate(0.0, sigma)) for _ in days
             ]
 
     def iter_records(self) -> Iterator[RequestRecord]:
         """Stream daily per-subnet request records across the window."""
-        for subnet, daily in self._daily_requests():
+        subnets = self.world.subnets()
+        for position, daily in self._daily_requests(0, len(subnets)):
+            subnet = subnets[position]
             for day, requests in enumerate(daily):
                 if requests > 0:
                     yield RequestRecord(
@@ -89,11 +98,25 @@ class DemandGenerator:
 
         Equal to :meth:`iter_records` summed per subnet, without
         building a record per day; subnets with no requests are skipped.
+        The subnets are drawn in contiguous world-order chunks, as in
+        :meth:`repro.cdn.beacon.BeaconGenerator.summarize`.
         """
-        for subnet, daily in self._daily_requests():
+        subnets = self.world.subnets()
+        for positions, totals in map_chunks(self._request_chunk, len(subnets)):
+            for position, requests in zip(positions, totals):
+                subnet = subnets[position]
+                yield subnet.prefix, subnet.asn, subnet.country, requests
+
+    def _request_chunk(self, start: int, stop: int) -> Tuple[array, array]:
+        """World positions and window totals of the subnets in
+        ``[start, stop)`` that saw requests."""
+        positions, totals = array("q"), array("q")
+        for position, daily in self._daily_requests(start, stop):
             requests = sum(daily)
             if requests > 0:
-                yield subnet.prefix, subnet.asn, subnet.country, requests
+                positions.append(position)
+                totals.append(requests)
+        return positions, totals
 
     def build_dataset(self) -> DemandDataset:
         """Aggregate the window into a normalized :class:`DemandDataset`."""

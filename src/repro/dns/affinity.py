@@ -17,13 +17,19 @@ from resolvers that are proximal to the fixed customers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
+import random
+from array import array
+from functools import partial
+from itertools import chain, repeat
+from typing import (
+    Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.dns.public import normalized_popularity
 from repro.dns.resolvers import Resolver, deploy_resolvers
 from repro.datasets.demand_dataset import DemandDataset
 from repro.net.prefix import Prefix
+from repro.parallel.chunks import map_chunks
 from repro.world.build import World
 from repro.world.geo import haversine_km
 
@@ -33,8 +39,7 @@ _CELLULAR_SPREAD_DEG = 12.0
 _FIXED_SPREAD_DEG = 0.8
 
 
-@dataclass(frozen=True)
-class AffinityRecord:
+class AffinityRecord(NamedTuple):
     """One (client subnet, resolver) association with demand weight."""
 
     subnet: Prefix
@@ -113,7 +118,12 @@ def build_affinity(
     demand: DemandDataset,
     seed_salt: str = "affinity",
 ) -> ResolverAffinity:
-    """Generate affinities for every demand-active access-network subnet."""
+    """Generate affinities for every demand-active access-network subnet.
+
+    The demand rows are drawn in contiguous chunks, one per CPU
+    (:func:`repro.parallel.chunks.map_chunks`); the records are the
+    same for every split.
+    """
     operator_resolvers, public_resolvers = deploy_resolvers(world)
     public_by_service: Dict[str, List[Resolver]] = {}
     for resolver in public_resolvers:
@@ -122,53 +132,97 @@ def build_affinity(
         (public_by_service[service], weight)
         for service, weight in normalized_popularity().items()
     ]
+    resolver_table = [
+        *public_resolvers, *chain.from_iterable(operator_resolvers.values())
+    ]
+    resolver_index = {id(r): index for index, r in enumerate(resolver_table)}
     plans = world.topology.plans
     plan_of_prefix = world.allocation.by_prefix
+    rows = demand.subnets()
+    seed_text = world.seed_text(f"{seed_salt}:")
 
-    records: List[AffinityRecord] = []
-    append = records.append
-    for subnet_demand in demand:
-        asn = subnet_demand.asn
-        resolvers = operator_resolvers.get(asn)
-        if not resolvers:
-            continue  # not an access network
-        plan = plans[asn]
-        subnet = subnet_demand.subnet
-        subnet_plan = plan_of_prefix.get(subnet)
-        if subnet_plan is None:
-            continue
-        rng = world.rng(f"{seed_salt}:{subnet}")
-        cellular_client = subnet_plan.is_cellular
-        country_code = subnet_plan.country
-        country = world.geography.get(country_code)
-        spread = _CELLULAR_SPREAD_DEG if cellular_client else _FIXED_SPREAD_DEG
-        client_lat = _clamp_lat(country.latitude + rng.uniform(-spread, spread))
-        client_lon = _wrap_lon(country.longitude + rng.uniform(-spread, spread))
+    def draw(start: int, stop: int) -> Tuple[array, ...]:
+        """Rows ``[start, stop)`` as columns: position, record count and
+        client location per subnet, then resolver index and DU per
+        record."""
+        positions, counts = array("q"), array("q")
+        latitudes, longitudes = array("d"), array("d")
+        record_resolvers, record_dus = array("q"), array("d")
+        for position in range(start, stop):
+            subnet_demand = rows[position]
+            asn = subnet_demand.asn
+            resolvers = operator_resolvers.get(asn)
+            if not resolvers:
+                continue  # not an access network
+            plan = plans[asn]
+            subnet = subnet_demand.subnet
+            subnet_plan = plan_of_prefix.get(subnet)
+            if subnet_plan is None:
+                continue
+            rng = random.Random(seed_text + str(subnet))
+            before = len(record_dus)
+            cellular_client = subnet_plan.is_cellular
+            country = world.geography.get(subnet_plan.country)
+            spread = _CELLULAR_SPREAD_DEG if cellular_client else _FIXED_SPREAD_DEG
+            client_lat = _clamp_lat(country.latitude + rng.uniform(-spread, spread))
+            client_lon = _wrap_lon(country.longitude + rng.uniform(-spread, spread))
 
-        # A /24 holds many clients, so its demand is a *weighted
-        # association* over several resolvers, not a single pick.
-        public_rate = plan.public_dns_fraction if cellular_client else 0.02
-        public_du = subnet_demand.du * public_rate
-        if public_du > 0:
-            for pool, weight in public_pools:
-                resolver = rng.choice(pool)
-                du = public_du * weight
+            # A /24 holds many clients, so its demand is a *weighted
+            # association* over several resolvers, not a single pick.
+            public_rate = plan.public_dns_fraction if cellular_client else 0.02
+            public_du = subnet_demand.du * public_rate
+            if public_du > 0:
+                for pool, weight in public_pools:
+                    resolver = rng.choice(pool)
+                    du = public_du * weight
+                    if du > 0:
+                        record_resolvers.append(resolver_index[id(resolver)])
+                        record_dus.append(du)
+
+            operator_du = subnet_demand.du - public_du
+            candidates = [r for r in resolvers if r.policy.serves(cellular_client)]
+            if not candidates:
+                candidates = resolvers
+            splits = [rng.random() + 0.2 for _ in candidates]
+            split_total = sum(splits)
+            for resolver, split in zip(candidates, splits):
+                du = operator_du * split / split_total
                 if du > 0:
-                    append(AffinityRecord(subnet, asn, country_code, resolver,
-                                          du, client_lat, client_lon))
+                    record_resolvers.append(resolver_index[id(resolver)])
+                    record_dus.append(du)
+            if len(record_dus) > before:
+                positions.append(position)
+                counts.append(len(record_dus) - before)
+                latitudes.append(client_lat)
+                longitudes.append(client_lon)
+        return positions, counts, latitudes, longitudes, record_resolvers, record_dus
 
-        operator_du = subnet_demand.du - public_du
-        candidates = [r for r in resolvers if r.policy.serves(cellular_client)]
-        if not candidates:
-            candidates = resolvers
-        splits = [rng.random() + 0.2 for _ in candidates]
-        split_total = sum(splits)
-        for resolver, split in zip(candidates, splits):
-            du = operator_du * split / split_total
-            if du > 0:
-                append(AffinityRecord(subnet, asn, country_code, resolver,
-                                      du, client_lat, client_lon))
+    # The records are built in C, by tuple.__new__ over zipped columns:
+    # the rebuild is the serial part of a split, and a loop calling the
+    # constructor per record took about 1.6 times as long.
+    records: List[AffinityRecord] = []
+    new_record = partial(tuple.__new__, AffinityRecord)
+    for positions, counts, latitudes, longitudes, record_resolvers, record_dus in (
+        map_chunks(draw, len(rows))
+    ):
+        subnet_rows = [rows[position] for position in positions]
+        records.extend(map(new_record, zip(
+            _per_record([row.subnet for row in subnet_rows], counts),
+            _per_record([row.asn for row in subnet_rows], counts),
+            _per_record(
+                [plan_of_prefix[row.subnet].country for row in subnet_rows], counts
+            ),
+            map(resolver_table.__getitem__, record_resolvers),
+            record_dus,
+            _per_record(latitudes, counts),
+            _per_record(longitudes, counts),
+        )))
     return ResolverAffinity(records)
+
+
+def _per_record(subnet_column: Iterable, counts: Iterable[int]) -> Iterator:
+    """Each subnet's value repeated once per record of that subnet."""
+    return chain.from_iterable(map(repeat, subnet_column, counts))
 
 
 def _clamp_lat(latitude: float) -> float:

@@ -15,4 +15,8 @@ test suite enforces for arbitrary worker x shard combinations.
 runs": a digest-keyed on-disk cache of columnar dataset shards, which
 :func:`repro.parallel.pipeline.run_from_entry` fuses straight into
 pipeline results without rebuilding the datasets at all.
+
+:mod:`repro.parallel.chunks` splits the dataset generators' world-order
+loops into one contiguous chunk per CPU over ``fork``; the chunks send
+back flat columns and concatenate to the serial bytes.
 """

@@ -84,9 +84,14 @@ class World:
     def subnets(self) -> List[SubnetPlan]:
         return self.allocation.subnets
 
+    def seed_text(self, purpose: str) -> str:
+        """The seed string of :meth:`rng`: a loop over subnets builds the
+        shared part once and appends each subnet's key to it."""
+        return f"{self.params.seed}:{purpose}"
+
     def rng(self, purpose: str) -> random.Random:
         """A deterministic RNG namespaced under this world's seed."""
-        return random.Random(f"{self.params.seed}:{purpose}")
+        return random.Random(self.seed_text(purpose))
 
 
 def build_world(

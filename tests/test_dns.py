@@ -1,5 +1,7 @@
 """Tests for the DNS substrate: resolvers, affinities, analyses."""
 
+import pickle
+
 import pytest
 
 from repro.core.classifier import SubnetClassifier
@@ -20,6 +22,7 @@ from repro.dns.public import (
 from repro.dns.resolvers import Resolver, ServingPolicy, deploy_resolvers
 from repro.net.asn import ASType
 from repro.net.prefix import Prefix
+from repro.world.geo import haversine_km
 
 
 class TestPublicServices:
@@ -150,6 +153,52 @@ class TestAffinity:
                 assert distance is None
             else:
                 assert distance is not None and distance >= 0
+
+
+class TestAffinityRecordValueContract:
+    """What the affinity digests, the analyses and the generation split
+    rely on: a record is a plain immutable tuple of its fields."""
+
+    FIELDS = ("subnet", "asn", "country", "resolver", "du",
+              "client_latitude", "client_longitude")
+    OPERATOR = Resolver("br-for-1", asn=64500, service=None, country="BR",
+                        latitude=-3.73, longitude=-38.52,
+                        policy=ServingPolicy.CELLULAR_ONLY)
+    PUBLIC = Resolver("google-8.8.8.8", asn=None, service="GoogleDNS",
+                      country=None, latitude=37.4, longitude=-122.1)
+
+    def record(self, resolver):
+        return AffinityRecord(Prefix.parse("10.0.1.0/24"), 64500, "BR",
+                              resolver, 12.5, -23.55, -46.63)
+
+    def test_field_order(self):
+        record = self.record(self.OPERATOR)
+        assert AffinityRecord._fields == self.FIELDS
+        assert tuple(record) == tuple(getattr(record, f) for f in self.FIELDS)
+        assert record == (Prefix.parse("10.0.1.0/24"), 64500, "BR",
+                          self.OPERATOR, 12.5, -23.55, -46.63)
+
+    def test_distance_is_none_for_a_public_resolver(self):
+        assert self.record(self.PUBLIC).distance_km is None
+
+    def test_distance_is_the_haversine_to_an_operator_resolver(self):
+        record = self.record(self.OPERATOR)
+        assert record.distance_km == haversine_km(-23.55, -46.63, -3.73, -38.52)
+        assert record.distance_km > 2000
+
+    def test_immutable(self):
+        record = self.record(self.OPERATOR)
+        for field in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    @pytest.mark.parametrize("resolver", [OPERATOR, PUBLIC], ids=["operator", "public"])
+    def test_pickle_round_trip(self, resolver):
+        record = self.record(resolver)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(record, protocol=protocol))
+            assert again == record and type(again) is AffinityRecord
+            assert again.distance_km == record.distance_km
 
 
 class TestAnalyses:
