@@ -8,8 +8,9 @@ China is excluded from demand statistics by default, as in section 7.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
+from repro.columnar.backend import get_kernels
 from repro.core.classifier import ClassificationResult
 from repro.core.mixed import OperatorProfile
 from repro.datasets.demand_dataset import DemandDataset
@@ -154,8 +155,9 @@ def continent_demand(
     accepted cellular ASes, removing proxy/cloud subnet-level false
     positives the AS filter caught.
     """
-    # One accumulator slot per continent, in ``Continent`` order; each
-    # non-excluded country maps straight to its continent's slot.
+    # One slot per continent, in ``Continent`` order; each non-excluded
+    # country maps straight to its continent's slot, and an excluded
+    # one to a last slot that is dropped.
     continents = list(Continent)
     slot_of = {c: slot for slot, c in enumerate(continents)}
     country_slot = {
@@ -163,19 +165,24 @@ def continent_demand(
         for country in geography
         if country.iso2 not in exclude_countries
     }
-    cellular = [0.0] * len(continents)
-    total = [0.0] * len(continents)
-    labels = classification.labels.get
-    for record in demand:
-        slot = country_slot.get(record.country)
-        if slot is None:
-            continue
-        total[slot] += record.du
-        if not labels(record.subnet, False):
-            continue
-        if restrict_to_asns is not None and record.asn not in restrict_to_asns:
-            continue
-        cellular[slot] += record.du
+    kernels = get_kernels()
+    slots = kernels.int_col([
+        country_slot.get(iso2, len(continents)) for iso2 in demand.country_names
+    ])
+    positions = cellular_positions(classification, demand, restrict_to_asns)
+    total = _slot_sums(
+        kernels.group_sum(
+            kernels.take(slots, demand.country_codes), demand.dus
+        ),
+        len(continents),
+    )
+    cellular = _slot_sums(
+        kernels.group_sum(
+            kernels.take(slots, kernels.take(demand.country_codes, positions)),
+            kernels.take(demand.dus, positions),
+        ),
+        len(continents),
+    )
     global_cellular = sum(cellular)
     subscribers = [0.0] * len(continents)
     for country in geography:
@@ -192,6 +199,40 @@ def continent_demand(
         )
         for slot, continent in enumerate(continents)
     }
+
+
+def cellular_positions(
+    classification: ClassificationResult,
+    demand: DemandDataset,
+    restrict_to_asns: Optional[Set[int]] = None,
+) -> List[int]:
+    """Demand rows of the subnets labelled cellular, in demand order.
+
+    With ``restrict_to_asns``, only rows of those ASes (by the demand
+    record's ASN).  Sorting the rows back into demand order keeps
+    every sum over them in the order a scan of the dataset adds.
+    """
+    position = demand.position
+    rows = [
+        position[subnet]
+        for subnet, cellular in classification.labels.items()
+        if cellular and subnet in position
+    ]
+    if restrict_to_asns is not None:
+        asns = demand.asns
+        rows = [row for row in rows if asns[row] in restrict_to_asns]
+    rows.sort()
+    return rows
+
+
+def _slot_sums(group_sums, count: int) -> List[float]:
+    """``(slots, sums)`` from ``group_sum`` as one value per slot
+    below ``count`` (0.0 where a slot has no rows)."""
+    values = [0.0] * count
+    for slot, value in zip(*group_sums):
+        if slot < count:
+            values[slot] = value
+    return values
 
 
 def global_cellular_fraction(

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.continent import DEFAULT_DEMAND_EXCLUSIONS
+from repro.analysis.continent import DEFAULT_DEMAND_EXCLUSIONS, cellular_positions
+from repro.columnar.backend import get_kernels
 from repro.core.classifier import ClassificationResult
 from repro.datasets.demand_dataset import DemandDataset
 from repro.world.geo import Continent, Geography
@@ -54,19 +55,23 @@ def country_demand_stats(
         for country in geography
         if country.iso2 not in exclude_countries
     }
-    labels = classification.labels.get
-    cellular: Dict[str, float] = {}
-    total: Dict[str, float] = {}
-    for record in demand:
-        iso2 = record.country
-        if iso2 not in counted:
-            continue
-        total[iso2] = total.get(iso2, 0.0) + record.du
-        if not labels(record.subnet, False):
-            continue
-        if restrict_to_asns is not None and record.asn not in restrict_to_asns:
-            continue
-        cellular[iso2] = cellular.get(iso2, 0.0) + record.du
+    kernels = get_kernels()
+    names, codes = demand.country_names, demand.country_codes
+    # Each country's sums are added in demand order, and its key comes
+    # in at its first counted row, as a scan of the records would.
+    total = {
+        names[code]: du
+        for code, du in zip(*kernels.group_sum(codes, demand.dus))
+        if names[code] in counted
+    }
+    positions = cellular_positions(classification, demand, restrict_to_asns)
+    cellular = {
+        names[code]: du
+        for code, du in zip(*kernels.group_sum(
+            kernels.take(codes, positions), kernels.take(demand.dus, positions)
+        ))
+        if names[code] in counted
+    }
     global_cellular = sum(cellular.values())
     return {
         iso2: CountryDemand(

@@ -56,16 +56,21 @@ def beacon_coverage(
     family: Optional[int] = None,
 ) -> CoverageReport:
     """Coverage of the DEMAND dataset by the BEACON dataset."""
+    observed = beacons.keys()
     covered_subnets = 0
     covered_du = 0.0
     demand_subnets = 0
     total_du = 0.0
-    for record in demand.subnets(family):
+    # The position map's keys are the demand subnets in dataset order,
+    # so both DU sums add in the order a scan of the records would.
+    for subnet, du in zip(demand.position, demand.dus):
+        if family is not None and subnet.family != family:
+            continue
         demand_subnets += 1
-        total_du += record.du
-        if record.subnet in beacons:
+        total_du += du
+        if subnet in observed:
             covered_subnets += 1
-            covered_du += record.du
+            covered_du += du
     return CoverageReport(
         demand_subnets=demand_subnets,
         covered_subnets=covered_subnets,

@@ -106,7 +106,7 @@ def concat(cols: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def take(col, indices) -> np.ndarray:
-    return col[np.asarray(indices, dtype=np.intp)]
+    return np.asarray(col)[np.asarray(indices, dtype=np.intp)]
 
 
 def take_list(items: list, indices) -> list:
@@ -178,6 +178,27 @@ def segment_first(col, perm, starts) -> list:
         return []
     ordered = np.asarray(col)[np.asarray(perm, dtype=np.intp)]
     return ordered[starts].tolist()
+
+
+def group_sum(groups, weights) -> Tuple[List[int], List[float]]:
+    """Per-group float sums in row order; groups in first-appearance order.
+
+    ``np.bincount`` adds each row's weight into its group's bin, row by
+    row from ``0.0`` -- the twin's ``+=`` loop, bit for bit.  ``np.sum``
+    would not do: its pairwise reduction rounds in another order.  The
+    ids index the bins, so they must be small non-negative ints.
+    """
+    groups = np.asarray(groups, dtype=np.intp)
+    rows = len(groups)
+    if not rows:
+        return [], []
+    sums = np.bincount(groups, weights=np.asarray(weights, dtype=np.float64))
+    # Each group's first row, without the sort np.unique would make.
+    firsts = np.full(len(sums), rows, dtype=np.intp)
+    np.minimum.at(firsts, groups, np.arange(rows))
+    ids = np.flatnonzero(firsts < rows)
+    ids = ids[np.argsort(firsts[ids])]
+    return ids.tolist(), sums[ids].tolist()
 
 
 # ---- shard hashing ---------------------------------------------------------

@@ -158,6 +158,20 @@ def segment_first(col, perm: Sequence[int], starts: Sequence[int]) -> list:
     return [col[perm[start]] for start in starts]
 
 
+def group_sum(groups, weights) -> Tuple[List[int], List[float]]:
+    """Per-group float sums, each added up in row order from ``0.0``.
+
+    ``groups`` holds non-negative group ids, ``weights`` one float per
+    row.  Returns ``(ids, sums)`` with the groups in order of first
+    appearance: keys and bits equal a ``sums[g] = sums.get(g, 0.0) + w``
+    loop over the rows, which is what this is.
+    """
+    sums: dict = {}
+    for group, weight in zip(groups, weights):
+        sums[group] = sums.get(group, 0.0) + weight
+    return list(sums), list(sums.values())
+
+
 # ---- shard hashing ---------------------------------------------------------
 
 def shard_index(

@@ -9,8 +9,10 @@ Figure 1 needs.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import IO, Dict, Iterator, KeysView, List, Optional, Tuple
 
 from repro.net.prefix import Prefix
 from repro.world.population import Browser
@@ -131,6 +133,14 @@ class BeaconDataset:
 
     def get(self, subnet: Prefix) -> Optional[SubnetBeaconCounts]:
         return self._by_subnet.get(subnet)
+
+    def keys(self) -> KeysView[Prefix]:
+        """The observed subnets (a live view; membership runs in C)."""
+        return self._by_subnet.keys()
+
+    def family_counts(self) -> Counter:
+        """Observed subnets per address family, without building a list."""
+        return Counter(map(attrgetter("family"), self._by_subnet))
 
     def add_counts(self, counts: SubnetBeaconCounts) -> None:
         """Add (or merge) a subnet's counts."""

@@ -9,6 +9,9 @@ of 100,000 -- each DU is 0.001% of global request demand, so
 from __future__ import annotations
 
 import json
+import operator
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -64,13 +67,26 @@ class SubnetDemand:
 
 
 class DemandDataset:
-    """Normalized platform demand for one collection window."""
+    """Normalized platform demand for one collection window.
+
+    Every write goes through :meth:`_add`, which also appends to the
+    columns the census reduces over, in dataset order: ``position``
+    (subnet -> row), ``country_codes`` (an index into
+    ``country_names``, numbered in order of first appearance), ``asns``
+    and ``dus``.
+    """
 
     def __init__(self, window_days: int = 7) -> None:
         if window_days <= 0:
             raise ValueError("window must cover at least one day")
         self.window_days = window_days
-        self._by_subnet: Dict[Prefix, SubnetDemand] = {}
+        self._records: List[SubnetDemand] = []
+        self.position: Dict[Prefix, int] = {}
+        self.country_codes = array("q")
+        self.country_names: List[str] = []
+        self._code_of: Dict[str, int] = {}
+        self.asns = array("q")
+        self.dus = array("d")
 
     # ---- construction ----------------------------------------------------
 
@@ -100,53 +116,75 @@ class DemandDataset:
         return dataset
 
     def _add(self, record: SubnetDemand) -> None:
-        if record.subnet in self._by_subnet:
+        # Everything that can fail -- a duplicate subnet, an ASN the
+        # 64-bit column cannot hold, a DU that is no float, an
+        # unhashable country -- is checked before the first write, so a
+        # rejected record leaves every column as it was.
+        position = self.position
+        if record.subnet in position:
             raise ValueError(f"duplicate demand subnet {record.subnet}")
-        self._by_subnet[record.subnet] = record
+        asn = operator.index(record.asn)
+        if not -(2**63) <= asn < 2**63:
+            raise OverflowError(f"{record.subnet}: ASN {asn} out of range")
+        du = float(record.du)
+        code = self._code_of.get(record.country)
+        position[record.subnet] = len(self._records)
+        self._records.append(record)
+        if code is None:
+            code = self._code_of[record.country] = len(self.country_names)
+            self.country_names.append(record.country)
+        self.country_codes.append(code)
+        self.asns.append(asn)
+        self.dus.append(du)
 
     # ---- lookups -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._by_subnet)
+        return len(self._records)
 
     def __contains__(self, subnet: Prefix) -> bool:
-        return subnet in self._by_subnet
+        return subnet in self.position
 
     def __iter__(self) -> Iterator[SubnetDemand]:
-        return iter(self._by_subnet.values())
+        return iter(self._records)
 
     def get(self, subnet: Prefix) -> Optional[SubnetDemand]:
-        return self._by_subnet.get(subnet)
+        position = self.position.get(subnet)
+        return self._records[position] if position is not None else None
 
     def du_of(self, subnet: Prefix) -> float:
         """Demand Units of a subnet (0 if the subnet saw no requests)."""
-        record = self._by_subnet.get(subnet)
-        return record.du if record is not None else 0.0
+        position = self.position.get(subnet)
+        return self._records[position].du if position is not None else 0.0
+
+    def family_counts(self) -> Counter:
+        """Demand subnets per address family, without building a list."""
+        return Counter(map(operator.attrgetter("family"), self.position))
 
     def subnets(self, family: Optional[int] = None) -> List[SubnetDemand]:
         if family is None:
-            return list(self._by_subnet.values())
+            return list(self._records)
         return [
             record
-            for record in self._by_subnet.values()
+            for record in self._records
             if record.subnet.family == family
         ]
 
     @property
     def total_du(self) -> float:
-        return sum(record.du for record in self._by_subnet.values())
+        return sum(record.du for record in self._records)
 
     # ---- rollups -----------------------------------------------------------
 
     def du_by_asn(self) -> Dict[int, float]:
         totals: Dict[int, float] = {}
-        for record in self._by_subnet.values():
+        for record in self._records:
             totals[record.asn] = totals.get(record.asn, 0.0) + record.du
         return totals
 
     def du_by_country(self) -> Dict[str, float]:
         totals: Dict[str, float] = {}
-        for record in self._by_subnet.values():
+        for record in self._records:
             totals[record.country] = totals.get(record.country, 0.0) + record.du
         return totals
 
@@ -157,7 +195,7 @@ class DemandDataset:
         stream.write(json.dumps(header, separators=(",", ":")))
         stream.write("\n")
         count = 0
-        for record in self._by_subnet.values():
+        for record in self._records:
             stream.write(record.to_json())
             stream.write("\n")
             count += 1

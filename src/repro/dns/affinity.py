@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from array import array
 from functools import partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
 from typing import (
     Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
 )
@@ -64,53 +65,121 @@ class AffinityRecord(NamedTuple):
 
 
 class ResolverAffinity:
-    """All affinity records plus lookup indices."""
+    """The affinity as columns; :class:`AffinityRecord` values are views.
 
-    def __init__(self, records: Iterable[AffinityRecord]) -> None:
-        self._records = list(records)
-        # ASN -> its runs of consecutive records, as (start, stop)
-        # positions in the record stream.  One AS's runs interleave with
-        # other ASes', so the positions keep any selection of ASes in
-        # stream order.
+    A *run* is a stretch of consecutive records of one client subnet,
+    with its ASN, country and client location (``run_*`` columns).
+    Run ``i`` holds records ``run_offsets[i]`` to ``run_offsets[i + 1]``
+    (the last offset is the record count).  Each record is an index
+    into ``resolver_table`` and its DU.  Records are built only when
+    the affinity is read (iteration, :meth:`records_of_asns`); the
+    analyses reduce over the columns.  ``resolver_services`` gives each
+    table entry's public service as an index into ``service_names``
+    (0, the empty name, for an operator resolver).
+    """
+
+    def __init__(self, records: Iterable[AffinityRecord] = ()) -> None:
+        self.resolver_table: List[Resolver] = []
+        self.run_subnets: List[Prefix] = []
+        self.run_asns = array("q")
+        self.run_countries: List[str] = []
+        self.run_latitudes = array("d")
+        self.run_longitudes = array("d")
+        self.run_offsets = array("q", [0])
+        self.record_resolvers = array("q")
+        self.record_dus = array("d")
+        table, index_of = self.resolver_table, {}
+        run = None
+        for record in records:
+            resolver = record.resolver
+            index = index_of.setdefault(resolver.resolver_id, len(table))
+            if index == len(table):
+                table.append(resolver)
+            elif table[index] != resolver:
+                raise ValueError(
+                    f"two resolvers share the id {resolver.resolver_id!r}"
+                )
+            key = (record.subnet, record.asn, record.country,
+                   record.client_latitude, record.client_longitude)
+            if key != run:
+                if run is not None:
+                    self.run_offsets.append(len(self.record_dus))
+                subnet, asn, country, latitude, longitude = run = key
+                self.run_subnets.append(subnet)
+                self.run_asns.append(asn)
+                self.run_countries.append(country)
+                self.run_latitudes.append(latitude)
+                self.run_longitudes.append(longitude)
+            self.record_resolvers.append(index)
+            self.record_dus.append(record.du)
+        if run is not None:
+            self.run_offsets.append(len(self.record_dus))
+        self._index()
+
+    def _index(self) -> None:
+        numbers: Dict[Optional[str], int] = {None: 0}
+        self.resolver_services = array("q", [
+            numbers.setdefault(resolver.service, len(numbers))
+            for resolver in self.resolver_table
+        ])
+        self.service_names: List[str] = ["", *islice(numbers, 1, None)]
+        # ASN -> its stretches of consecutive runs, as (start, stop) run
+        # positions.  One AS's stretches interleave with other ASes',
+        # so the positions keep any selection of ASes in stream order.
         self._by_asn: Dict[int, List[Tuple[int, int]]] = {}
         run_asn, start = None, 0
-        for position, record in enumerate(self._records):
-            if record.asn != run_asn:
+        for position, asn in enumerate(self.run_asns):
+            if asn != run_asn:
                 if position:
                     self._by_asn.setdefault(run_asn, []).append((start, position))
-                run_asn, start = record.asn, position
-        if self._records:
+                run_asn, start = asn, position
+        if self.run_asns:
             self._by_asn.setdefault(run_asn, []).append(
-                (start, len(self._records))
+                (start, len(self.run_asns))
             )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.record_dus)
 
     def __iter__(self) -> Iterator[AffinityRecord]:
-        return iter(self._records)
+        return self._records(0, len(self.run_subnets))
+
+    def run_ranges(
+        self, asns: Optional[Collection[int]] = None
+    ) -> List[Tuple[int, int]]:
+        """``(start, stop)`` run positions of the given ASes (all runs
+        for ``None``), in stream order."""
+        if asns is None:
+            return [(0, len(self.run_subnets))]
+        return sorted({run for asn in asns for run in self._by_asn.get(asn, ())})
 
     def records_of_asn(self, asn: int) -> List[AffinityRecord]:
         return self.records_of_asns((asn,))
 
     def records_of_asns(self, asns: Collection[int]) -> List[AffinityRecord]:
         """Records of the given ASes, in stream order."""
-        records = self._records
-        runs = sorted({run for asn in asns for run in self._by_asn.get(asn, ())})
-        selected: List[AffinityRecord] = []
-        for start, stop in runs:
-            selected.extend(records[start:stop])
-        return selected
+        return list(chain.from_iterable(
+            self._records(start, stop) for start, stop in self.run_ranges(asns)
+        ))
 
-    def resolvers(self) -> List[Resolver]:
-        """Distinct resolvers with at least one client."""
-        seen: Dict[str, Resolver] = {}
-        for record in self._records:
-            seen.setdefault(record.resolver.resolver_id, record.resolver)
-        return list(seen.values())
+    def _records(self, start: int, stop: int) -> Iterator[AffinityRecord]:
+        """The records of runs ``[start, stop)``, built in C by
+        ``tuple.__new__`` over zipped columns."""
+        offsets = self.run_offsets
+        counts = list(map(sub, offsets[start + 1:stop + 1], offsets[start:stop]))
+        first, last = offsets[start], offsets[stop]
+        return map(_new_record, zip(
+            _per_run(self.run_subnets[start:stop], counts),
+            _per_run(self.run_asns[start:stop], counts),
+            _per_run(self.run_countries[start:stop], counts),
+            map(self.resolver_table.__getitem__, self.record_resolvers[first:last]),
+            self.record_dus[first:last],
+            _per_run(self.run_latitudes[start:stop], counts),
+            _per_run(self.run_longitudes[start:stop], counts),
+        ))
 
-    def asns(self) -> List[int]:
-        return list(self._by_asn)
+
+_new_record = partial(tuple.__new__, AffinityRecord)
 
 
 def build_affinity(
@@ -197,32 +266,30 @@ def build_affinity(
                 longitudes.append(client_lon)
         return positions, counts, latitudes, longitudes, record_resolvers, record_dus
 
-    # The records are built in C, by tuple.__new__ over zipped columns:
-    # the rebuild is the serial part of a split, and a loop calling the
-    # constructor per record took about 1.6 times as long.
-    records: List[AffinityRecord] = []
-    new_record = partial(tuple.__new__, AffinityRecord)
+    affinity = ResolverAffinity()
+    affinity.resolver_table.extend(resolver_table)
+    offsets = affinity.run_offsets
     for positions, counts, latitudes, longitudes, record_resolvers, record_dus in (
         map_chunks(draw, len(rows))
     ):
-        subnet_rows = [rows[position] for position in positions]
-        records.extend(map(new_record, zip(
-            _per_record([row.subnet for row in subnet_rows], counts),
-            _per_record([row.asn for row in subnet_rows], counts),
-            _per_record(
-                [plan_of_prefix[row.subnet].country for row in subnet_rows], counts
-            ),
-            map(resolver_table.__getitem__, record_resolvers),
-            record_dus,
-            _per_record(latitudes, counts),
-            _per_record(longitudes, counts),
-        )))
-    return ResolverAffinity(records)
+        subnets = [rows[position].subnet for position in positions]
+        affinity.run_subnets.extend(subnets)
+        affinity.run_asns.extend([rows[position].asn for position in positions])
+        affinity.run_countries.extend(
+            [plan_of_prefix[subnet].country for subnet in subnets]
+        )
+        affinity.run_latitudes.extend(latitudes)
+        affinity.run_longitudes.extend(longitudes)
+        offsets.extend(islice(accumulate(counts, initial=offsets[-1]), 1, None))
+        affinity.record_resolvers.extend(record_resolvers)
+        affinity.record_dus.extend(record_dus)
+    affinity._index()
+    return affinity
 
 
-def _per_record(subnet_column: Iterable, counts: Iterable[int]) -> Iterator:
-    """Each subnet's value repeated once per record of that subnet."""
-    return chain.from_iterable(map(repeat, subnet_column, counts))
+def _per_run(run_column: Iterable, counts: Iterable[int]) -> Iterator:
+    """Each run's value repeated once per record of that run."""
+    return chain.from_iterable(map(repeat, run_column, counts))
 
 
 def _clamp_lat(latitude: float) -> float:

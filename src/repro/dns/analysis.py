@@ -4,15 +4,24 @@ All three analyses consume only observable inputs: the affinity map,
 the DEMAND dataset weights embedded in it, and the *pipeline's* subnet
 classification (never world truth), mirroring how the paper combines
 its datasets.
+
+They reduce over the affinity's columns: each subnet run's label is
+looked up once.  The per-resolver and per-service sums are
+``group_sum`` kernel calls, which add in stream order like a
+per-record ``+=`` loop; the other sums are such loops.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from itertools import groupby
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.columnar.backend import get_kernels
 from repro.core.classifier import ClassificationResult
 from repro.dns.affinity import ResolverAffinity
+from repro.world.geo import haversine_km
 
 
 @dataclass(frozen=True)
@@ -53,30 +62,52 @@ def resolver_cellular_fractions(
     come from the affinity's per-AS index, in stream order, so shares,
     sums and resolver order match a filtered scan of every record.
     """
-    labels = classification.labels.get
-    cellular: Dict[str, float] = {}
-    fixed: Dict[str, float] = {}
-    meta: Dict[str, Optional[int]] = {}
-    records = affinity if asns is None else affinity.records_of_asns(asns)
-    for record in records:
-        resolver = record.resolver
-        if resolver.is_public and not include_public:
-            continue
-        key = resolver.resolver_id
-        meta[key] = resolver.asn
-        if labels(record.subnet, False):
-            cellular[key] = cellular.get(key, 0.0) + record.du
-        else:
-            fixed[key] = fixed.get(key, 0.0) + record.du
+    resolvers, dus = affinity.record_resolvers, affinity.record_dus
+    offsets = affinity.run_offsets
+    groups, cellular_dus, fixed_dus = array("q"), array("d"), array("d")
+    for start, stop, cellular in _label_stretches(affinity, classification, asns):
+        first, last = offsets[start], offsets[stop]
+        groups.extend(resolvers[first:last])
+        # The other class gets +0.0 per record, which leaves its
+        # non-negative sums bit for bit as if the record were skipped.
+        own, other = (
+            (cellular_dus, fixed_dus) if cellular else (fixed_dus, cellular_dus)
+        )
+        own.extend(dus[first:last])
+        other.frombytes(bytes(8 * (last - first)))
+    kernels = get_kernels()
+    ids, cellular_sums = kernels.group_sum(groups, cellular_dus)
+    _, fixed_sums = kernels.group_sum(groups, fixed_dus)
+    table = affinity.resolver_table
     return [
         ResolverShare(
-            resolver_id=key,
-            asn=meta[key],
-            cellular_du=cellular.get(key, 0.0),
-            fixed_du=fixed.get(key, 0.0),
+            resolver_id=resolver.resolver_id,
+            asn=resolver.asn,
+            cellular_du=cellular_du,
+            fixed_du=fixed_du,
         )
-        for key in meta
+        for resolver, cellular_du, fixed_du in zip(
+            map(table.__getitem__, ids), cellular_sums, fixed_sums
+        )
+        if include_public or not resolver.is_public
     ]
+
+
+def _label_stretches(
+    affinity: ResolverAffinity,
+    classification: ClassificationResult,
+    asns: Optional[Collection[int]],
+) -> Iterator[Tuple[int, int, bool]]:
+    """``(start, stop, cellular)`` stretches of consecutive runs of the
+    given ASes (every AS for ``None``) that share a label, in stream
+    order.  Each run's label is looked up once."""
+    labels = classification.labels.get
+    subnets = affinity.run_subnets
+    for start, stop in affinity.run_ranges(asns):
+        for cellular, same in groupby([labels(s, False) for s in subnets[start:stop]]):
+            run = start + len(list(same))
+            yield start, run, cellular
+            start = run
 
 
 def shared_resolver_fraction(shares: Iterable[ResolverShare]) -> float:
@@ -114,22 +145,31 @@ def public_dns_usage(
     asns: Iterable[int],
 ) -> Dict[int, PublicDNSUsage]:
     """Public DNS usage among *cellular* client demand, per operator."""
-    labels = classification.labels.get
+    kernels = get_kernels()
+    service_of, names = affinity.resolver_services, affinity.service_names
+    resolvers, dus = affinity.record_resolvers, affinity.record_dus
+    offsets, countries = affinity.run_offsets, affinity.run_countries
     result: Dict[int, PublicDNSUsage] = {}
     for asn in asns:
-        total = 0.0
-        by_service: Dict[str, float] = {}
+        cellular_resolvers, cellular_dus = array("q"), array("d")
         country = ""
-        for record in affinity.records_of_asn(asn):
-            if not labels(record.subnet, False):
-                continue
-            country = record.country
-            total += record.du
-            if record.resolver.is_public:
-                service = record.resolver.service
-                by_service[service] = by_service.get(service, 0.0) + record.du
+        for start, stop, cellular in _label_stretches(affinity, classification, (asn,)):
+            if cellular:
+                first, last = offsets[start], offsets[stop]
+                cellular_resolvers.extend(resolvers[first:last])
+                cellular_dus.extend(dus[first:last])
+                country = countries[stop - 1]
+        total = 0.0
+        for du in cellular_dus:
+            total += du
+        ids, sums = kernels.group_sum(
+            kernels.take(service_of, cellular_resolvers), cellular_dus
+        )
         result[asn] = PublicDNSUsage(
-            asn=asn, country=country, total_du=total, by_service=by_service
+            asn=asn,
+            country=country,
+            total_du=total,
+            by_service={names[i]: du for i, du in zip(ids, sums) if i},
         )
     return result
 
@@ -157,21 +197,32 @@ def resolver_distance_report(
     asn: int,
 ) -> DistanceReport:
     """Distance asymmetry for one mixed operator (the Brazil case)."""
-    labels = classification.labels.get
+    table = affinity.resolver_table
+    resolvers, dus = affinity.record_resolvers, affinity.record_dus
+    offsets, countries = affinity.run_offsets, affinity.run_countries
+    latitudes, longitudes = affinity.run_latitudes, affinity.run_longitudes
     cellular_sum = cellular_weight = 0.0
     fixed_sum = fixed_weight = 0.0
     country = ""
-    for record in affinity.records_of_asn(asn):
-        distance = record.distance_km
-        if distance is None:
-            continue
-        country = record.country
-        if labels(record.subnet, False):
-            cellular_sum += distance * record.du
-            cellular_weight += record.du
-        else:
-            fixed_sum += distance * record.du
-            fixed_weight += record.du
+    for start, stop, cellular in _label_stretches(affinity, classification, (asn,)):
+        for run in range(start, stop):
+            first, last = offsets[run], offsets[run + 1]
+            for resolver, du in zip(
+                map(table.__getitem__, resolvers[first:last]), dus[first:last]
+            ):
+                if resolver.is_public:
+                    continue
+                country = countries[run]
+                distance = haversine_km(
+                    latitudes[run], longitudes[run],
+                    resolver.latitude, resolver.longitude,
+                )
+                if cellular:
+                    cellular_sum += distance * du
+                    cellular_weight += du
+                else:
+                    fixed_sum += distance * du
+                    fixed_weight += du
     return DistanceReport(
         asn=asn,
         country=country,

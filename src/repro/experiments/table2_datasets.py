@@ -25,10 +25,10 @@ PAPER_DEMAND_COVERAGE = 0.92
 def run(lab: Lab) -> ExperimentResult:
     beacons, demand = lab.beacons, lab.demand
     scale = lab.world.params.scale
-    beacon24 = len(beacons.subnets(4))
-    beacon48 = len(beacons.subnets(6))
-    demand24 = len(demand.subnets(4))
-    demand48 = len(demand.subnets(6))
+    beacon_families = beacons.family_counts()
+    demand_families = demand.family_counts()
+    beacon24, beacon48 = beacon_families[4], beacon_families[6]
+    demand24, demand48 = demand_families[4], demand_families[6]
 
     coverage = beacon_coverage(beacons, demand)
     subnet_coverage = coverage.subnet_coverage

@@ -581,8 +581,6 @@ class DatasetCache:
                 )
         demand_rows.sort()
         demand = DemandDataset(window_days=entry.meta["demand"]["window_days"])
-        demand_by_subnet = demand._by_subnet
         for _idx, family, value, length, asn, country, du in demand_rows:
-            prefix = Prefix(family, value, length)
-            demand_by_subnet[prefix] = SubnetDemand(prefix, asn, country, du)
+            demand._add(SubnetDemand(Prefix(family, value, length), asn, country, du))
         return beacons, demand

@@ -244,12 +244,14 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     is the only way to reclaim its slot, and shard purity makes the
     lost work resubmittable.
     """
+    # Read the workers first: shutdown() drops the pool's reference to
+    # them, and a hung worker would then outlive the pool.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except TypeError:  # pragma: no cover -- cancel_futures needs py3.9+
         pool.shutdown(wait=False)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.kill()
         except Exception:  # noqa: BLE001 -- already-dead workers

@@ -8,7 +8,8 @@ The first two are columnar (``repro.columnar``); this module is the
 frozen *row-wise* semantics they both must reproduce --
 dict-accumulation loops written the way the pre-columnar pipeline
 wrote them (the old per-row ``_spot_shard`` worker, the per-subnet
-totals dict, the per-hit dataset fold).
+totals dict, the per-hit dataset fold, and the per-record ``+=`` loops
+of the DNS, country and continent analyses).
 It lives with the tests because nothing in the program calls it: the
 kernel suite (``tests/test_columnar_kernels.py``) and
 ``benchmarks/bench_columnar_core.py`` compare against it, so the
@@ -18,9 +19,13 @@ in the same way twice.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.analysis.continent import DEFAULT_DEMAND_EXCLUSIONS, ContinentDemand
+from repro.analysis.country import CountryDemand
+from repro.dns.analysis import DistanceReport, PublicDNSUsage, ResolverShare
 from repro.net.prefix import Prefix
+from repro.world.geo import Continent
 
 #: Compact beacon row: (idx, family, value, length, asn, country,
 #: hits, api, cell) -- the tuple shape of repro.parallel.sharding.
@@ -110,3 +115,170 @@ def duplicate_key(
             return key
         seen.add(key)
     return None
+
+
+# ---- demand-weighted analyses: one loop iteration per record ---------------
+
+def resolver_cellular_fractions(
+    affinity,
+    classification,
+    asns: Optional[Set[int]] = None,
+    include_public: bool = False,
+) -> List[ResolverShare]:
+    """Figure 9's per-resolver shares, one record at a time."""
+    labels = classification.labels.get
+    cellular: Dict[str, float] = {}
+    fixed: Dict[str, float] = {}
+    meta: Dict[str, Optional[int]] = {}
+    records = affinity if asns is None else affinity.records_of_asns(asns)
+    for record in records:
+        resolver = record.resolver
+        if resolver.is_public and not include_public:
+            continue
+        key = resolver.resolver_id
+        meta[key] = resolver.asn
+        if labels(record.subnet, False):
+            cellular[key] = cellular.get(key, 0.0) + record.du
+        else:
+            fixed[key] = fixed.get(key, 0.0) + record.du
+    return [
+        ResolverShare(
+            resolver_id=key,
+            asn=meta[key],
+            cellular_du=cellular.get(key, 0.0),
+            fixed_du=fixed.get(key, 0.0),
+        )
+        for key in meta
+    ]
+
+
+def public_dns_usage(affinity, classification, asns) -> Dict[int, PublicDNSUsage]:
+    """Figure 10's public DNS split of cellular demand, per record."""
+    labels = classification.labels.get
+    result: Dict[int, PublicDNSUsage] = {}
+    for asn in asns:
+        total = 0.0
+        by_service: Dict[str, float] = {}
+        country = ""
+        for record in affinity.records_of_asn(asn):
+            if not labels(record.subnet, False):
+                continue
+            country = record.country
+            total += record.du
+            if record.resolver.is_public:
+                service = record.resolver.service
+                by_service[service] = by_service.get(service, 0.0) + record.du
+        result[asn] = PublicDNSUsage(
+            asn=asn, country=country, total_du=total, by_service=by_service
+        )
+    return result
+
+
+def resolver_distance_report(affinity, classification, asn: int) -> DistanceReport:
+    """The Brazil case's demand-weighted distances, per record."""
+    labels = classification.labels.get
+    cellular_sum = cellular_weight = 0.0
+    fixed_sum = fixed_weight = 0.0
+    country = ""
+    for record in affinity.records_of_asn(asn):
+        distance = record.distance_km
+        if distance is None:
+            continue
+        country = record.country
+        if labels(record.subnet, False):
+            cellular_sum += distance * record.du
+            cellular_weight += record.du
+        else:
+            fixed_sum += distance * record.du
+            fixed_weight += record.du
+    return DistanceReport(
+        asn=asn,
+        country=country,
+        cellular_km=cellular_sum / cellular_weight if cellular_weight else 0.0,
+        fixed_km=fixed_sum / fixed_weight if fixed_weight else 0.0,
+    )
+
+
+def country_demand_stats(
+    classification,
+    demand,
+    geography,
+    restrict_to_asns: Optional[Set[int]] = None,
+    exclude_countries: frozenset = DEFAULT_DEMAND_EXCLUSIONS,
+) -> Dict[str, CountryDemand]:
+    """Figures 11 and 12's per-country demand, per demand record."""
+    counted = {
+        country.iso2
+        for country in geography
+        if country.iso2 not in exclude_countries
+    }
+    labels = classification.labels.get
+    cellular: Dict[str, float] = {}
+    total: Dict[str, float] = {}
+    for record in demand:
+        iso2 = record.country
+        if iso2 not in counted:
+            continue
+        total[iso2] = total.get(iso2, 0.0) + record.du
+        if not labels(record.subnet, False):
+            continue
+        if restrict_to_asns is not None and record.asn not in restrict_to_asns:
+            continue
+        cellular[iso2] = cellular.get(iso2, 0.0) + record.du
+    global_cellular = sum(cellular.values())
+    return {
+        iso2: CountryDemand(
+            iso2=iso2,
+            continent=geography.get(iso2).continent,
+            cellular_du=cellular.get(iso2, 0.0),
+            total_du=total[iso2],
+            global_cellular_du=global_cellular,
+        )
+        for iso2 in total
+    }
+
+
+def continent_demand(
+    classification,
+    demand,
+    geography,
+    restrict_to_asns: Optional[Set[int]] = None,
+    exclude_countries: frozenset = DEFAULT_DEMAND_EXCLUSIONS,
+) -> Dict[Continent, ContinentDemand]:
+    """Table 8's per-continent demand, per demand record."""
+    continents = list(Continent)
+    slot_of = {c: slot for slot, c in enumerate(continents)}
+    country_slot = {
+        country.iso2: slot_of[country.continent]
+        for country in geography
+        if country.iso2 not in exclude_countries
+    }
+    cellular = [0.0] * len(continents)
+    total = [0.0] * len(continents)
+    labels = classification.labels.get
+    for record in demand:
+        slot = country_slot.get(record.country)
+        if slot is None:
+            continue
+        total[slot] += record.du
+        if not labels(record.subnet, False):
+            continue
+        if restrict_to_asns is not None and record.asn not in restrict_to_asns:
+            continue
+        cellular[slot] += record.du
+    global_cellular = sum(cellular)
+    subscribers = [0.0] * len(continents)
+    for country in geography:
+        if country.iso2 in exclude_countries:
+            continue
+        subscribers[slot_of[country.continent]] += country.subscribers_m
+    return {
+        continent: ContinentDemand(
+            continent=continent,
+            cellular_du=cellular[slot],
+            total_du=total[slot],
+            global_cellular_du=global_cellular,
+            subscribers_m=subscribers[slot],
+        )
+        for slot, continent in enumerate(continents)
+    }

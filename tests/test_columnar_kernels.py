@@ -249,6 +249,32 @@ def test_column_overflow_promotes_to_exact_ints(array_backend):
     assert k.segment_sum_int(col, perm, starts) == [2 ** 64 - 2 ** 70 + 3]
 
 
+@pytest.mark.parametrize("n", [0, 1, 9, 2000])
+def test_group_sum_equals_a_dict_loop_bit_for_bit(array_backend, n):
+    """Groups in first-appearance order, each summed in row order: the
+    bits of a ``+=`` loop, on weights whose sums depend on that order."""
+    rng = random.Random(n)
+    groups = [rng.randrange(0, 40, 3) for _ in range(n)]
+    weights = [rng.random() * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+    expected: dict = {}
+    for group, weight in zip(groups, weights):
+        expected[group] = expected.get(group, 0.0) + weight
+    k = kernels_for(array_backend)
+    for group_col, weight_col in (
+        (groups, weights), (k.index_col(groups), k.float_col(weights))
+    ):
+        ids, sums = k.group_sum(group_col, weight_col)
+        assert ids == list(expected)
+        assert [s.hex() for s in sums] == [s.hex() for s in expected.values()]
+        assert all(type(i) is int for i in ids)
+        assert all(type(s) is float for s in sums)
+    if n == 2000:
+        reordered: dict = {}
+        for group, weight in sorted(zip(groups, weights), key=lambda gw: gw[1]):
+            reordered[group] = reordered.get(group, 0.0) + weight
+        assert any(reordered[g] != expected[g] for g in expected)
+
+
 def test_ratio_division_past_float53_uses_exact_path(array_backend):
     """cell/api past 2**53: both backends take correctly-rounded
     big-int division, matching the serial classifier's Python ``/``."""

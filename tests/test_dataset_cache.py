@@ -123,6 +123,14 @@ def test_hit_returns_identical_datasets(cache, datasets, shards):
     assert loaded_beacons.browser_counts == beacons.browser_counts
     assert [c.subnet for c in loaded_beacons] == [c.subnet for c in beacons]
     assert [r.subnet for r in loaded_demand] == [r.subnet for r in demand]
+    # The fetch writes through DemandDataset._add, so the columns the
+    # census reduces over are filled like a generated dataset's.
+    assert list(loaded_demand.position.values()) == list(range(len(demand)))
+    assert list(loaded_demand.dus) == list(demand.dus)
+    assert list(loaded_demand.asns) == list(demand.asns)
+    assert [loaded_demand.country_names[c] for c in loaded_demand.country_codes] == [
+        r.country for r in demand
+    ]
     assert entry.dataset_digests["beacon"] == dataset_digest(beacons)
     assert entry.dataset_digests["demand"] == dataset_digest(demand)
 

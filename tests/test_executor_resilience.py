@@ -8,12 +8,16 @@ silently wrong answer.
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.parallel.executor import (
     ShardExecutionError,
     ShardExecutor,
     ShardPlan,
+    _kill_pool,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, chaos
 
@@ -130,6 +134,18 @@ class TestPoolSelfHealing:
         executor = self._pool_executor(hedge=True)
         with chaos(plan, state_dir=tmp_path / "state"):
             assert _results(executor) == EXPECTED
+
+    def test_kill_pool_kills_a_hung_worker(self):
+        """The hung worker dies with its pool instead of sleeping on as
+        a child of this process."""
+        pool = ProcessPoolExecutor(max_workers=1)
+        pool.submit(time.sleep, 30)
+        workers = list(pool._processes.values())
+        assert workers
+        _kill_pool(pool)
+        for worker in workers:
+            worker.join(timeout=5)
+            assert not worker.is_alive()
 
     def test_fault_free_pool_matches_serial(self):
         executor = self._pool_executor()

@@ -220,6 +220,41 @@ class TestPolicyMatrix:
         assert policy.stats.rejected_lines == 1
         assert policy.stats.errors[0].line_no == 3
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"asn":"1","country":"US","du":1.0',
+            '"asn":null,"country":"US","du":1.0',
+            '"asn":1.5,"country":"US","du":1.0',
+            f'"asn":{2**63},"country":"US","du":1.0',
+            f'"asn":1,"country":"US","du":{10**400}',
+            '"asn":1,"country":["US"],"du":1.0',
+        ],
+        ids=[
+            "asn-string", "asn-null", "asn-float", "asn-too-large",
+            "du-too-large", "country-list",
+        ],
+    )
+    def test_demand_skip_leaves_no_half_written_record(self, fields):
+        stream = io.StringIO(
+            '{"window_days":7}\n'
+            '{"subnet":"10.0.0.0/24","asn":1,"country":"US","du":1.0}\n'
+            f'{{"subnet":"10.0.1.0/24",{fields}}}\n'
+            '{"subnet":"10.0.2.0/24","asn":2,"country":"BR","du":2.0}\n'
+        )
+        policy = IngestPolicy.skip()
+        dataset = DemandDataset.load(stream, policy=policy)
+        assert policy.stats.rejected_lines == 1
+        assert policy.stats.errors[0].line_no == 3
+        assert len(dataset) == 2
+        assert p("10.0.1.0/24") not in dataset
+        assert [r.subnet for r in dataset] == [p("10.0.0.0/24"), p("10.0.2.0/24")]
+        assert dataset.position == {p("10.0.0.0/24"): 0, p("10.0.2.0/24"): 1}
+        assert list(dataset.asns) == [1, 2]
+        assert list(dataset.dus) == [1.0, 2.0]
+        assert dataset.country_names == ["US", "BR"]
+        assert list(dataset.country_codes) == [0, 1]
+
     def test_read_jsonl_skip_policy_and_line_numbers(self):
         stream = io.StringIO(
             '{"day":0,"subnet":"10.0.0.0/24","asn":1,"country":"US",'

@@ -846,11 +846,16 @@ def _cli_env() -> dict:
 
 
 def test_plane_processes_import_no_census():
-    """A plane child imports what it runs, not the census behind it."""
+    """A plane child imports what it runs, not the census behind it.
+
+    Nor numpy: ``serve/index.py`` imports ``DemandDataset``, whose
+    columns are ``array.array`` so that a plane process never pays
+    numpy's import time and memory.
+    """
     heavy = (
         "repro.lab", "repro.experiments", "repro.analysis", "repro.cdn",
         "repro.dns", "repro.evolution", "repro.parallel",
-        "repro.core.pipeline", "repro.world.build",
+        "repro.core.pipeline", "repro.world.build", "numpy",
     )
     code = (
         "import json, sys\n"
