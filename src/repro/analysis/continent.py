@@ -8,9 +8,11 @@ China is excluded from demand statistics by default, as in section 7.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.columnar.backend import get_kernels
+from repro.columnar.ops import slot_counts
 from repro.core.classifier import ClassificationResult
 from repro.core.mixed import OperatorProfile
 from repro.datasets.demand_dataset import DemandDataset
@@ -57,24 +59,43 @@ def subnets_by_continent(
     count, so the AS filter's output is needed to keep the census
     comparable (see the table4 experiment note).
     """
-    census = {continent: SubnetCensus(continent) for continent in Continent}
-    row_of = {country.iso2: census[country.continent] for country in geography}
-    records = classification.records
-    for subnet, cellular in classification.labels.items():
-        record = records[subnet]
-        row = row_of.get(record.country)
-        if row is None:
+    # Slot = (continent, family digit, label) over the classified
+    # table's columns.  A country outside the geography gets a last
+    # continent slot that is dropped; family digit 1 is IPv4 and every
+    # other family counts as IPv6.
+    continents = list(Continent)
+    slot_of = {c: slot for slot, c in enumerate(continents)}
+    country_slot = {country.iso2: slot_of[country.continent] for country in geography}
+    table = classification.table
+    kernels = get_kernels()
+    code_slots = kernels.int_col([
+        country_slot.get(iso2, len(continents)) for iso2 in table.country_names
+    ])
+    labels = classification.label_column
+    if restrict_to_asns is not None:
+        labels = labels[:]
+        asns = table.asns
+        for row in compress(range(len(labels)), classification.label_column):
+            if asns[row] not in restrict_to_asns:
+                labels[row] = 0
+    slots = kernels.slot_ids([
+        (kernels.take(code_slots, table.country_codes), range(1, len(continents) + 1)),
+        (table.families, (4, 5)),
+        (labels, (1,)),
+    ])
+    census = {continent: SubnetCensus(continent) for continent in continents}
+    for slot, count in slot_counts(slots).items():
+        continent, rest = divmod(slot, 6)
+        if continent == len(continents):
             continue
-        if cellular and restrict_to_asns is not None:
-            cellular = record.asn in restrict_to_asns
-        if subnet.family == 4:
-            row.active_slash24 += 1
-            if cellular:
-                row.cellular_slash24 += 1
+        row = census[continents[continent]]
+        family_digit, cellular = divmod(rest, 2)
+        if family_digit == 1:
+            row.active_slash24 += count
+            row.cellular_slash24 += count * cellular
         else:
-            row.active_slash48 += 1
-            if cellular:
-                row.cellular_slash48 += 1
+            row.active_slash48 += count
+            row.cellular_slash48 += count * cellular
     return census
 
 
@@ -212,12 +233,9 @@ def cellular_positions(
     record's ASN).  Sorting the rows back into demand order keeps
     every sum over them in the order a scan of the dataset adds.
     """
-    position = demand.position
-    rows = [
-        position[subnet]
-        for subnet, cellular in classification.labels.items()
-        if cellular and subnet in position
-    ]
+    # One join of the cellular subnets against the demand rows.
+    cellular = compress(classification.labels, classification.label_column)
+    rows = [row for row in map(demand.position.get, cellular) if row is not None]
     if restrict_to_asns is not None:
         asns = demand.asns
         rows = [row for row in rows if asns[row] in restrict_to_asns]

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.columnar.backend import get_kernels
+from repro.columnar.ops import slot_counts
 from repro.datasets.beacon_dataset import BeaconDataset
 from repro.datasets.demand_dataset import DemandDataset
 
@@ -55,25 +57,29 @@ def beacon_coverage(
     demand: DemandDataset,
     family: Optional[int] = None,
 ) -> CoverageReport:
-    """Coverage of the DEMAND dataset by the BEACON dataset."""
+    """Coverage of the DEMAND dataset by the BEACON dataset.
+
+    One slot per demand row -- (in the family, has beacon data) --
+    over the demand dataset's columns; both DU sums add the family's
+    rows in dataset order, as a scan of the records does.
+    """
+    kernels = get_kernels()
     observed = beacons.keys()
-    covered_subnets = 0
-    covered_du = 0.0
-    demand_subnets = 0
-    total_du = 0.0
-    # The position map's keys are the demand subnets in dataset order,
-    # so both DU sums add in the order a scan of the records would.
-    for subnet, du in zip(demand.position, demand.dus):
-        if family is not None and subnet.family != family:
-            continue
-        demand_subnets += 1
-        total_du += du
-        if subnet in observed:
-            covered_subnets += 1
-            covered_du += du
+    covered = bytearray(map(observed.__contains__, demand.position))
+    # Slot = 2 * family digit + covered.  Without a family every row's
+    # family digit is 0; with one, digit 1 is the asked family.
+    family_cuts = () if family is None else (family, family + 1)
+    mine = 0 if family is None else 1
+    slots = kernels.slot_ids([(demand.families, family_cuts), (covered, (1,))])
+    in_family = [int(slot // 2 == mine) for slot in range(2 * len(family_cuts) + 2)]
+    counts = slot_counts(slots)
+    covered_sums = dict(zip(*kernels.group_sum(slots, demand.dus)))
+    family_sums = dict(zip(*kernels.group_sum(
+        kernels.take(in_family, slots), demand.dus
+    )))
     return CoverageReport(
-        demand_subnets=demand_subnets,
-        covered_subnets=covered_subnets,
-        total_du=total_du,
-        covered_du=covered_du,
+        demand_subnets=counts.get(2 * mine, 0) + counts.get(2 * mine + 1, 0),
+        covered_subnets=counts.get(2 * mine + 1, 0),
+        total_du=family_sums.get(1, 0.0),
+        covered_du=covered_sums.get(2 * mine + 1, 0.0),
     )

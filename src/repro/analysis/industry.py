@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Set
 
+from repro.analysis.continent import cellular_positions
+from repro.columnar.backend import get_kernels
 from repro.core.classifier import ClassificationResult
 from repro.datasets.demand_dataset import DemandDataset
 
@@ -54,17 +56,18 @@ def byte_share_report(
     """
     if cellular_bytes_per_request <= 0:
         raise ValueError("bytes-per-request ratio must be positive")
-    labels = classification.labels.get
-    cellular_du = total_du = 0.0
-    for record in demand:
-        if record.country in exclude_countries:
-            continue
-        total_du += record.du
-        if not labels(record.subnet, False):
-            continue
-        if restrict_to_asns is not None and record.asn not in restrict_to_asns:
-            continue
-        cellular_du += record.du
+    # Over the demand columns: a country's rows count (0) or are
+    # excluded (1); each sum adds its rows in dataset order.
+    kernels = get_kernels()
+    excluded = kernels.take(
+        [int(iso2 in exclude_countries) for iso2 in demand.country_names],
+        demand.country_codes,
+    )
+    total_du = _counted_sum(excluded, demand.dus)
+    positions = cellular_positions(classification, demand, restrict_to_asns)
+    cellular_du = _counted_sum(
+        kernels.take(excluded, positions), kernels.take(demand.dus, positions)
+    )
     if total_du <= 0:
         raise ValueError("no demand to aggregate")
     request_fraction = cellular_du / total_du
@@ -76,3 +79,9 @@ def byte_share_report(
         byte_fraction=byte_fraction,
         cellular_bytes_per_request=cellular_bytes_per_request,
     )
+
+
+def _counted_sum(excluded, dus) -> float:
+    """DU of the rows not excluded, added in row order from 0.0."""
+    ids, sums = get_kernels().group_sum(excluded, dus)
+    return dict(zip(ids, sums)).get(0, 0.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.columnar.backend import get_kernels
 from repro.core.classifier import ClassificationResult
 from repro.core.mixed import OperatorProfile
 from repro.datasets.demand_dataset import DemandDataset
@@ -100,14 +101,20 @@ def case_study_distribution(
 ) -> List[CaseStudyPoint]:
     """Figure 6 input: (cellular ratio, demand) for every observed
     subnet of one AS (the paper's case studies are /24-level)."""
-    points = [
-        CaseStudyPoint(ratio=record.ratio, du=demand.du_of(subnet))
-        for subnet, record in classification.records.items()
+    records = [
+        record
+        for record in classification.records.values()
         if record.asn == asn and record.family == family
     ]
-    if not points:
+    if not records:
         raise ValueError(f"AS{asn} has no IPv{family} ratio records")
-    return points
+    dus = get_kernels().to_list(
+        demand.du_column(record.subnet for record in records)
+    )
+    return [
+        CaseStudyPoint(ratio=record.ratio, du=du)
+        for record, du in zip(records, dus)
+    ]
 
 
 def case_study_cdfs(

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.columnar.backend import get_kernels
 from repro.datasets.demand_dataset import DemandDataset
 from repro.world.build import World
 from repro.world.geo import EARTH_RADIUS_KM, Geography
@@ -145,31 +146,52 @@ class PlatformDeployment:
         return best
 
     def service_report(self, demand: DemandDataset) -> "ServiceReport":
-        """Where demand gets served: in-country / in-continent shares."""
-        # Per client country: (region_id, same country, same continent),
-        # or None for a country outside the geography.
-        outcomes: Dict[str, Optional[Tuple[str, bool, bool]]] = {}
-        in_country = in_continent = total = 0.0
-        by_region: Dict[str, float] = {}
-        for record in demand:
-            iso2 = record.country
-            if iso2 not in outcomes:
-                outcomes[iso2] = self._outcome(iso2)
-            outcome = outcomes[iso2]
-            if outcome is None:
-                continue
-            region_id, same_country, same_continent = outcome
-            total += record.du
-            by_region[region_id] = by_region.get(region_id, 0.0) + record.du
-            if same_country:
-                in_country += record.du
-            if same_continent:
-                in_continent += record.du
+        """Where demand gets served: in-country / in-continent shares.
+
+        One routing outcome per client country, taken over the demand
+        dataset's country column; each DU sum adds its rows in dataset
+        order and the regions come in order of first appearance, as a
+        scan of the records gives them.
+        """
+        # Per country code: its region's slot, numbered in order of
+        # first appearance (-1 outside the geography), and 0/1 for
+        # routable, served in-country and served in-continent.
+        region_slot: Dict[str, int] = {}
+        slots, routable, same_country, same_continent = [], [], [], []
+        for iso2 in demand.country_names:
+            region_id, in_country, in_continent = (
+                self._outcome(iso2) or (None, False, False)
+            )
+            routed = region_id is not None
+            slots.append(
+                region_slot.setdefault(region_id, len(region_slot)) if routed else -1
+            )
+            routable.append(int(routed))
+            same_country.append(int(in_country))
+            same_continent.append(int(in_continent))
+        # The unroutable rows' slot comes after every region's.
+        unroutable = len(region_slot)
+        slots = [unroutable if slot < 0 else slot for slot in slots]
+        kernels = get_kernels()
+        codes, dus = demand.country_codes, demand.dus
+
+        def flagged_sum(flags: List[int]) -> float:
+            """DU of the rows whose country is flagged, in row order."""
+            ids, sums = kernels.group_sum(kernels.take(flags, codes), dus)
+            return dict(zip(ids, sums)).get(1, 0.0)
+
+        total = flagged_sum(routable)
         if total <= 0:
             raise ValueError("no routable demand")
+        region_ids = list(region_slot)
+        by_region = {
+            region_ids[slot]: du
+            for slot, du in zip(*kernels.group_sum(kernels.take(slots, codes), dus))
+            if slot != unroutable
+        }
         return ServiceReport(
-            in_country_fraction=in_country / total,
-            in_continent_fraction=in_continent / total,
+            in_country_fraction=flagged_sum(same_country) / total,
+            in_continent_fraction=flagged_sum(same_continent) / total,
             demand_by_region=by_region,
         )
 

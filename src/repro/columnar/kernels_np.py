@@ -201,6 +201,21 @@ def group_sum(groups, weights) -> Tuple[List[int], List[float]]:
     return ids.tolist(), sums[ids].tolist()
 
 
+def slot_ids(parts) -> np.ndarray:
+    """Mixed-radix slot id per row from ``(column, cuts)`` parts.
+
+    Same contract as the twin: each digit is ``searchsorted(cuts,
+    value, side="right")``, the number of cuts at or below the value.
+    Integer digits compare exactly against float cuts below ``2**53``.
+    """
+    ids = None
+    for column, cuts in parts:
+        cuts = np.asarray(list(cuts))
+        digits = np.searchsorted(cuts, np.asarray(column), side="right")
+        ids = digits if ids is None else ids * (len(cuts) + 1) + digits
+    return ids
+
+
 # ---- shard hashing ---------------------------------------------------------
 
 def shard_index(family, value_hi, value_lo, lengths, shards: int):

@@ -27,6 +27,7 @@ rows in dataset order, exactly as the serial per-row loops see them.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
 NAME = "python"
@@ -170,6 +171,26 @@ def group_sum(groups, weights) -> Tuple[List[int], List[float]]:
     for group, weight in zip(groups, weights):
         sums[group] = sums.get(group, 0.0) + weight
     return list(sums), list(sums.values())
+
+
+def slot_ids(parts) -> Sequence[int]:
+    """Mixed-radix slot id per row from ``(column, cuts)`` parts.
+
+    A part's digit is the number of its ascending ``cuts`` at or below
+    the row's value (``bisect_right``), so it runs from 0 to
+    ``len(cuts)``; the first part is the most significant.  An int
+    column of digits ``0..k-1`` passes through with ``cuts=range(1, k)``.
+    ``parts`` holds at least one part, all columns of one length.
+    """
+    columns = [column for column, _ in parts]
+    cut_lists = [list(cuts) for _, cuts in parts]
+    ids = array("q")
+    for values in zip(*columns):
+        slot = 0
+        for value, cuts in zip(values, cut_lists):
+            slot = slot * (len(cuts) + 1) + bisect_right(cuts, value)
+        ids.append(slot)
+    return ids
 
 
 # ---- shard hashing ---------------------------------------------------------

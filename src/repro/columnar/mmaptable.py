@@ -33,6 +33,8 @@ import mmap
 import os
 import struct
 import sys
+import math
+from array import array
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -249,6 +251,43 @@ class MmapRatioTable(RatioTable):
         if lo < self._count and self._key_at(lo) == target:
             return lo
         return -1
+
+    # -- row columns ---------------------------------------------------------
+    #
+    # The RatioTable columns, read from the mapped columns on each
+    # access: opening a snapshot does no per-row work.
+
+    @property
+    def families(self) -> memoryview:
+        return self._cols["family"]
+
+    @property
+    def asns(self) -> memoryview:
+        return self._cols["asn"]
+
+    @property
+    def ratio_values(self) -> array:
+        cols = self._cols
+        return array("d", [
+            cell / api if api else math.nan
+            for cell, api in zip(cols["cell"], cols["api"])
+        ])
+
+    @property
+    def country_codes(self) -> array:
+        code_of: Dict[bytes, int] = {}
+        return array("q", (
+            code_of.setdefault(text, len(code_of)) for text in self._countries()
+        ))
+
+    @property
+    def country_names(self) -> List[str]:
+        return [text.decode("utf-8") for text in dict.fromkeys(self._countries())]
+
+    def _countries(self) -> Iterator[bytes]:
+        """Each row's UTF-8 country, in row order."""
+        blob, offsets = bytes(self._blob), self._offsets.tolist()
+        return map(blob.__getitem__, map(slice, offsets, offsets[1:]))
 
     # -- RatioTable surface --------------------------------------------------
 

@@ -15,9 +15,10 @@ grouped subnets come back sorted by ``(family, value, length)``.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.columnar.backend import kernels_for
+from repro.columnar.backend import get_kernels, kernels_for
 from repro.columnar.batch import BeaconBatch, SpotBatch, _join_value
 
 
@@ -57,6 +58,18 @@ def merge_asn_partials(
     uniq = k.segment_first(asns, perm, starts)
     sums = k.segment_sum_int(hits, perm, starts)
     return {int(a): int(s) for a, s in zip(uniq, sums)}
+
+
+def slot_counts(slots) -> Dict[int, int]:
+    """Rows per slot id, slots in order of first appearance.
+
+    A ``group_sum`` of 1.0 per row with the active kernels: float sums
+    of ones are exact integers below ``2**53`` rows.
+    """
+    kernels = get_kernels()
+    ones = array("d", [1.0]) * kernels.length(slots)
+    ids, sums = kernels.group_sum(slots, ones)
+    return dict(zip(ids, map(int, sums)))
 
 
 def sort_by_idx(batch):

@@ -7,7 +7,8 @@ after showing accuracy is stable across (0.1, 0.96)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.ratios import RatioRecord, RatioTable
@@ -50,11 +51,24 @@ class SubnetClassifier:
 
 @dataclass
 class ClassificationResult:
-    """Subnet labels produced by one classifier run."""
+    """Subnet labels produced by one classifier run.
+
+    ``records`` holds each labelled subnet's ratio record, in the
+    order of ``labels``.  Built with the result: ``label_column``, the
+    labels as 0/1 in that order, and ``table``, the classified
+    :class:`RatioTable` over ``records``, whose row columns line up
+    with it.
+    """
 
     threshold: float
     labels: Dict[Prefix, bool]
     records: Dict[Prefix, RatioRecord]
+    label_column: array = field(init=False, repr=False, compare=False)
+    table: RatioTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.label_column = array("b", bytearray(self.labels.values()))
+        self.table = RatioTable._from_ordered(self.records)
 
     def __len__(self) -> int:
         return len(self.labels)

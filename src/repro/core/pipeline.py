@@ -151,8 +151,10 @@ class CellSpotter:
             "operator_profiles",
             lambda: operator_profiles(as_result, cutoff=self.dedicated_cutoff),
         )
+        # The classified table holds the same rows in the same order,
+        # with its row columns: one copy of them serves both.
         return CellSpotterResult(
-            ratios=ratios,
+            ratios=classification.table,
             classification=classification,
             as_result=as_result,
             operators=operators,

@@ -9,9 +9,12 @@ distributions of Figure 2.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
+from repro.columnar.backend import get_kernels
 from repro.datasets.beacon_dataset import SubnetBeaconCounts
 from repro.datasets.demand_dataset import DemandDataset
 from repro.net.prefix import Prefix
@@ -40,16 +43,52 @@ class RatioRecord:
 
 
 class RatioTable:
-    """Cellular ratios for all subnets with usable API data."""
+    """Cellular ratios for all subnets with usable API data.
+
+    Beside its records the table keeps one column per field the census
+    reduces over, in row order (the order of iteration): ``families``,
+    ``ratio_values`` (each record's :attr:`RatioRecord.ratio`, NaN
+    without API hits), ``asns`` and ``country_codes`` (an index into
+    ``country_names``, numbered in order of first appearance).  They
+    are built with the table and never change after.
+    """
 
     def __init__(self, records: Iterable[RatioRecord]) -> None:
         self._by_subnet: Dict[Prefix, RatioRecord] = {}
+        self._add_rows(records, check=True)
+
+    def _add_rows(self, records: Iterable[RatioRecord], check: bool) -> None:
+        """Fill the row columns in one pass over ``records``; with
+        ``check``, also validate each record and add it to the table."""
+        by_subnet = self._by_subnet
+        self.families = array("b")
+        self.ratio_values = array("d")
+        self.asns: List[int] = []
+        self.country_codes = array("q")
+        self.country_names: List[str] = []
+        code_of: Dict[str, int] = {}
+        add_family, add_ratio = self.families.append, self.ratio_values.append
+        add_asn, add_code = self.asns.append, self.country_codes.append
         for record in records:
-            if record.api_hits <= 0:
-                raise ValueError(f"{record.subnet}: ratio needs API hits")
-            if record.subnet in self._by_subnet:
-                raise ValueError(f"duplicate ratio subnet {record.subnet}")
-            self._by_subnet[record.subnet] = record
+            subnet = record.subnet
+            if check:
+                if record.api_hits <= 0:
+                    raise ValueError(f"{subnet}: ratio needs API hits")
+                if subnet in by_subnet:
+                    raise ValueError(f"duplicate ratio subnet {subnet}")
+                by_subnet[subnet] = record
+            add_family(subnet.family)
+            api_hits = record.api_hits
+            # NaN for a row without API hits, which only a table
+            # adopted unchecked can hold: it buckets as "high" on both
+            # kernel backends, where its record's ratio would raise.
+            add_ratio(record.cellular_hits / api_hits if api_hits else math.nan)
+            add_asn(record.asn)
+            code = code_of.get(record.country)
+            if code is None:
+                code = code_of[record.country] = len(code_of)
+                self.country_names.append(record.country)
+            add_code(code)
 
     def __eq__(self, other: object) -> bool:
         """Tables are equal when they hold the same records (any order)."""
@@ -64,17 +103,19 @@ class RatioTable:
     def _from_ordered(
         cls, by_subnet: Dict[Prefix, RatioRecord]
     ) -> "RatioTable":
-        """Adopt an already-validated subnet->record mapping (no copy).
+        """Adopt an already-validated subnet->record mapping (no copy)
+        and build its row columns.
 
-        Internal fast path for the parallel layer
-        (:mod:`repro.parallel`): the sharded pipeline builds the
-        mapping itself (shards are disjoint by construction and rows
-        are pre-filtered on ``api_hits``), so re-running the
-        constructor's duplicate/API checks would only re-prove what
-        the sharder already guarantees.
+        Internal fast path for :class:`ClassificationResult`, whose
+        records come from a table already checked: a classified ratio
+        table, or the sharded pipeline's merged rows (shards are
+        disjoint by construction and rows are pre-filtered on
+        ``api_hits``), so re-running the constructor's duplicate/API
+        checks would only re-prove what is already guaranteed.
         """
         table = cls.__new__(cls)
         table._by_subnet = by_subnet
+        table._add_rows(by_subnet.values(), check=False)
         return table
 
     @classmethod
@@ -134,6 +175,11 @@ class RatioTable:
     def get(self, subnet: Prefix) -> Optional[RatioRecord]:
         return self._by_subnet.get(subnet)
 
+    def subnet_keys(self) -> Iterator[Prefix]:
+        """The subnets, in row order (a :class:`Prefix` is its
+        ``(family, value, length)`` tuple)."""
+        return iter(self._by_subnet)
+
     def records(self, family: Optional[int] = None) -> List[RatioRecord]:
         if family is None:
             return list(self._by_subnet.values())
@@ -172,42 +218,46 @@ class RatioTable:
 
         Mirrors the paper's headline split: ratios < 0.1, 0.1-0.9, and
         > 0.9 (section 4.1 reports 91.3% / 2.9% / 5.8% for /24s).
+
+        One slot per (family digit, bucket) over the table's columns.
+        Demand weights come from one join of the subnets against the
+        demand dataset, and every sum adds the family's rows in row
+        order, as a per-record loop does.
         """
-        records = self.records(family)
-        if not records:
-            raise ValueError(f"no IPv{family} ratio records")
-        return bucket_fractions(records, low, high, demand)
+        if not 0 <= low < high <= 1:
+            raise ValueError("need 0 <= low < high <= 1")
+        kernels = get_kernels()
+        # Family digit 1 is this family.  Bucket 0 is ratio < low; 2 is
+        # ratio > high, that is at or above the float after ``high``.
+        slots = kernels.slot_ids([
+            (self.families, (family, family + 1)),
+            (self.ratio_values, (low, math.nextafter(high, math.inf))),
+        ])
+        if demand is None:
+            # Imported here: the serving plane's processes load this
+            # module but never count slots.
+            from repro.columnar.ops import slot_counts
 
-
-def bucket_fractions(
-    records: List[RatioRecord],
-    low: float = 0.1,
-    high: float = 0.9,
-    demand: Optional[DemandDataset] = None,
-) -> Dict[str, float]:
-    """:meth:`RatioTable.bucket_fractions` over records already in hand.
-
-    Callers that split one family several ways (Figure 2) select the
-    family's records once and pass them to each split.
-    """
-    if not 0 <= low < high <= 1:
-        raise ValueError("need 0 <= low < high <= 1")
-    du_of = None if demand is None else demand.du_of
-    total = low_sum = mid_sum = high_sum = 0.0
-    for record in records:
-        weight = 1.0 if du_of is None else du_of(record.subnet)
-        total += weight
-        ratio = record.ratio
-        if ratio < low:
-            low_sum += weight
-        elif ratio > high:
-            high_sum += weight
+            sums = slot_counts(slots)
+            total = sum(sums.get(slot, 0) for slot in _FAMILY_SLOTS)
         else:
-            mid_sum += weight
-    if total <= 0:
-        raise ValueError("no weight to distribute")
-    return {
-        "low": low_sum / total,
-        "intermediate": mid_sum / total,
-        "high": high_sum / total,
-    }
+            weights = demand.du_column(self.subnet_keys())
+            sums = dict(zip(*kernels.group_sum(slots, weights)))
+            ids, totals = kernels.group_sum(kernels.take(_IN_FAMILY, slots), weights)
+            total = dict(zip(ids, totals)).get(1, 0.0)
+        if not any(slot in sums for slot in _FAMILY_SLOTS):
+            raise ValueError(f"no IPv{family} ratio records")
+        if total <= 0:
+            raise ValueError("no weight to distribute")
+        low_sum, mid_sum, high_sum = (sums.get(slot, 0.0) for slot in _FAMILY_SLOTS)
+        return {
+            "low": low_sum / total,
+            "intermediate": mid_sum / total,
+            "high": high_sum / total,
+        }
+
+
+#: ``bucket_fractions``' slots of the asked family's three buckets, and
+#: each slot's family digit as in-family (1) or not (0).
+_FAMILY_SLOTS = (3, 4, 5)
+_IN_FAMILY = (0, 0, 0, 1, 1, 1, 0, 0, 0)

@@ -9,9 +9,9 @@ Figure 1 needs.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import IO, Dict, Iterator, KeysView, List, Optional, Tuple
 
 from repro.net.prefix import Prefix
@@ -114,11 +114,16 @@ def fold_hit(
 
 
 class BeaconDataset:
-    """All BEACON observations for one collection month."""
+    """All BEACON observations for one collection month.
+
+    ``families`` holds each observed subnet's address family, in
+    dataset order; every write that adds a subnet appends to it.
+    """
 
     def __init__(self, month: str) -> None:
         self.month = month
         self._by_subnet: Dict[Prefix, SubnetBeaconCounts] = {}
+        self.families = array("b")
         #: Global (hits, api_hits) per browser, for Figure 1.
         self.browser_counts: Dict[Browser, Tuple[int, int]] = {}
 
@@ -139,14 +144,18 @@ class BeaconDataset:
         return self._by_subnet.keys()
 
     def family_counts(self) -> Counter:
-        """Observed subnets per address family, without building a list."""
-        return Counter(map(attrgetter("family"), self._by_subnet))
+        """Observed subnets per address family, families in order of
+        first appearance."""
+        from repro.columnar.ops import slot_counts
+
+        return Counter(slot_counts(self.families))
 
     def add_counts(self, counts: SubnetBeaconCounts) -> None:
         """Add (or merge) a subnet's counts."""
         counts.validate()
         existing = self._by_subnet.get(counts.subnet)
         if existing is None:
+            self.families.append(counts.subnet.family)
             self._by_subnet[counts.subnet] = counts
             return
         if (existing.asn, existing.country) != (counts.asn, counts.country):
@@ -165,8 +174,11 @@ class BeaconDataset:
         cellular_labeled: bool,
     ) -> None:
         """Accumulate one beacon hit."""
+        before = len(self._by_subnet)
         fold_hit(self._by_subnet, subnet, asn, country, api_enabled,
                  cellular_labeled)
+        if len(self._by_subnet) != before:
+            self.families.append(subnet.family)
         hits, api = self.browser_counts.get(browser, (0, 0))
         self.browser_counts[browser] = (hits + 1, api + (1 if api_enabled else 0))
 

@@ -13,8 +13,10 @@ import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.columnar.backend import get_kernels
 from repro.net.prefix import Prefix
 
 #: The normalization constant of section 3.2.
@@ -71,7 +73,7 @@ class DemandDataset:
 
     Every write goes through :meth:`_add`, which also appends to the
     columns the census reduces over, in dataset order: ``position``
-    (subnet -> row), ``country_codes`` (an index into
+    (subnet -> row), ``families``, ``country_codes`` (an index into
     ``country_names``, numbered in order of first appearance), ``asns``
     and ``dus``.
     """
@@ -82,6 +84,7 @@ class DemandDataset:
         self.window_days = window_days
         self._records: List[SubnetDemand] = []
         self.position: Dict[Prefix, int] = {}
+        self.families = array("b")
         self.country_codes = array("q")
         self.country_names: List[str] = []
         self._code_of: Dict[str, int] = {}
@@ -128,6 +131,8 @@ class DemandDataset:
             raise OverflowError(f"{record.subnet}: ASN {asn} out of range")
         du = float(record.du)
         code = self._code_of.get(record.country)
+        # The first write: a family the column cannot hold fails here.
+        self.families.append(record.subnet.family)
         position[record.subnet] = len(self._records)
         self._records.append(record)
         if code is None:
@@ -157,9 +162,23 @@ class DemandDataset:
         position = self.position.get(subnet)
         return self._records[position].du if position is not None else 0.0
 
+    def du_column(self, subnets: Iterable[Prefix]):
+        """Demand Units of each subnet, in order, as a float column of
+        the active kernels (0.0 where a subnet saw no requests).
+
+        One join through ``position`` per call; nothing of it is kept.
+        """
+        kernels = get_kernels()
+        missing = len(self._records)
+        rows = list(map(self.position.get, subnets, repeat(missing)))
+        return kernels.take(self.dus + array("d", [0.0]), rows)
+
     def family_counts(self) -> Counter:
-        """Demand subnets per address family, without building a list."""
-        return Counter(map(operator.attrgetter("family"), self.position))
+        """Demand subnets per address family, families in order of
+        first appearance."""
+        from repro.columnar.ops import slot_counts
+
+        return Counter(slot_counts(self.families))
 
     def subnets(self, family: Optional[int] = None) -> List[SubnetDemand]:
         if family is None:

@@ -10,7 +10,6 @@ Paper anchors for the bucket split (<0.1 / 0.1-0.9 / >0.9):
 
 from __future__ import annotations
 
-from repro.core.ratios import bucket_fractions
 from repro.experiments.base import Comparison, ExperimentResult, experiment
 from repro.lab import Lab
 
@@ -26,14 +25,13 @@ PAPER = {
 def run(lab: Lab) -> ExperimentResult:
     ratios = lab.result.ratios
     demand = lab.demand
-    by_family = {family: ratios.records(family) for family in (4, 6)}
     splits = {}
     rows = []
     comparisons = []
     for scope in ("subnets", "demand"):
         for family in (4, 6):
             weights = demand if scope == "demand" else None
-            buckets = bucket_fractions(by_family[family], demand=weights)
+            buckets = ratios.bucket_fractions(family, demand=weights)
             splits[(scope, family)] = buckets
             paper_low, paper_mid, paper_high = PAPER[(scope, family)]
             rows.append(

@@ -28,8 +28,8 @@ def run(lab: Lab) -> ExperimentResult:
     platform = deploy_platform(lab.world)
     demand = lab.demand
     report = platform.service_report(demand)
-    observed_ases = len({record.asn for record in demand})
-    observed_countries = len({record.country for record in demand})
+    observed_ases = len(set(demand.asns))
+    observed_countries = len(demand.country_names)
     registry_size = len(lab.world.topology.registry)
 
     rows = [

@@ -572,6 +572,7 @@ class DatasetCache:
             by_subnet[prefix] = SubnetBeaconCounts(
                 prefix, asn, country, hits, api, cell
             )
+            beacons.families.append(family)
 
         demand_rows: List[tuple] = []
         for path, sha in entry.demand_shards:

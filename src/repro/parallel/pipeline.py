@@ -43,7 +43,7 @@ from repro.core.asn_classifier import identify_cellular_ases
 from repro.core.classifier import ClassificationResult
 from repro.core.mixed import operator_profiles
 from repro.core.pipeline import CellSpotter, CellSpotterResult
-from repro.core.ratios import RatioRecord, RatioTable
+from repro.core.ratios import RatioRecord
 from repro.datasets.beacon_dataset import BeaconDataset
 from repro.datasets.caida import ASClassificationDataset
 from repro.datasets.demand_dataset import DemandDataset
@@ -148,10 +148,11 @@ def _finish(
     timings: Dict[str, float],
 ) -> CellSpotterResult:
     """Shared serial tail: AS identification + operator profiles."""
-    ratios = RatioTable._from_ordered(table)
     classification = ClassificationResult(
-        threshold=spotter.threshold, labels=labels, records=dict(table)
+        threshold=spotter.threshold, labels=labels, records=table
     )
+    # The classified table holds the same rows, in the same order.
+    ratios = classification.table
     started = time.perf_counter()
     with span("stage.as_identification"):
         as_result = identify_cellular_ases(

@@ -9,7 +9,8 @@ frozen *row-wise* semantics they both must reproduce --
 dict-accumulation loops written the way the pre-columnar pipeline
 wrote them (the old per-row ``_spot_shard`` worker, the per-subnet
 totals dict, the per-hit dataset fold, and the per-record ``+=`` loops
-of the DNS, country and continent analyses).
+of the DNS, country, continent, ratio-bucket, coverage, platform,
+industry and case-study analyses).
 It lives with the tests because nothing in the program calls it: the
 kernel suite (``tests/test_columnar_kernels.py``) and
 ``benchmarks/bench_columnar_core.py`` compare against it, so the
@@ -19,10 +20,23 @@ in the same way twice.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.continent import DEFAULT_DEMAND_EXCLUSIONS, ContinentDemand
+from repro.analysis.continent import (
+    DEFAULT_DEMAND_EXCLUSIONS,
+    ContinentDemand,
+    SubnetCensus,
+)
 from repro.analysis.country import CountryDemand
+from repro.analysis.coverage import CoverageReport
+from repro.analysis.industry import (
+    DEFAULT_CELLULAR_BYTES_PER_REQUEST,
+    TrafficShareReport,
+)
+from repro.analysis.operators import CaseStudyPoint
+from repro.cdn.platform import ServiceReport
 from repro.dns.analysis import DistanceReport, PublicDNSUsage, ResolverShare
 from repro.net.prefix import Prefix
 from repro.world.geo import Continent
@@ -282,3 +296,174 @@ def continent_demand(
         )
         for slot, continent in enumerate(continents)
     }
+
+
+# ---- per-record census loops (Figure 2, Tables 2 and 4, sections 3 and 7) --
+
+def bucket_fractions(
+    records,
+    low: float = 0.1,
+    high: float = 0.9,
+    demand=None,
+) -> Dict[str, float]:
+    """Figure 2's bucket split over one family's ratio records."""
+    if not 0 <= low < high <= 1:
+        raise ValueError("need 0 <= low < high <= 1")
+    du_of = None if demand is None else demand.du_of
+    total = low_sum = mid_sum = high_sum = 0.0
+    for record in records:
+        weight = 1.0 if du_of is None else du_of(record.subnet)
+        total += weight
+        ratio = record.ratio
+        if ratio < low:
+            low_sum += weight
+        elif ratio > high:
+            high_sum += weight
+        else:
+            mid_sum += weight
+    if total <= 0:
+        raise ValueError("no weight to distribute")
+    return {
+        "low": low_sum / total,
+        "intermediate": mid_sum / total,
+        "high": high_sum / total,
+    }
+
+
+def family_counts(subnets) -> Counter:
+    """Table 2's subnets per address family, one prefix at a time."""
+    return Counter(map(attrgetter("family"), subnets))
+
+
+def beacon_coverage(beacons, demand, family: Optional[int] = None) -> CoverageReport:
+    """Section 3.2's coverage of DEMAND by BEACON, per demand row."""
+    observed = beacons.keys()
+    covered_subnets = 0
+    covered_du = 0.0
+    demand_subnets = 0
+    total_du = 0.0
+    for subnet, du in zip(demand.position, demand.dus):
+        if family is not None and subnet.family != family:
+            continue
+        demand_subnets += 1
+        total_du += du
+        if subnet in observed:
+            covered_subnets += 1
+            covered_du += du
+    return CoverageReport(
+        demand_subnets=demand_subnets,
+        covered_subnets=covered_subnets,
+        total_du=total_du,
+        covered_du=covered_du,
+    )
+
+
+def subnets_by_continent(
+    classification,
+    geography,
+    restrict_to_asns: Optional[Set[int]] = None,
+) -> Dict[Continent, SubnetCensus]:
+    """Table 4's subnet census, one labelled subnet at a time."""
+    census = {continent: SubnetCensus(continent) for continent in Continent}
+    row_of = {country.iso2: census[country.continent] for country in geography}
+    records = classification.records
+    for subnet, cellular in classification.labels.items():
+        record = records[subnet]
+        row = row_of.get(record.country)
+        if row is None:
+            continue
+        if cellular and restrict_to_asns is not None:
+            cellular = record.asn in restrict_to_asns
+        if subnet.family == 4:
+            row.active_slash24 += 1
+            if cellular:
+                row.cellular_slash24 += 1
+        else:
+            row.active_slash48 += 1
+            if cellular:
+                row.cellular_slash48 += 1
+    return census
+
+
+def service_report(platform, demand) -> ServiceReport:
+    """Section 3's served-where report, per demand record."""
+    outcomes: Dict[str, Optional[Tuple[str, bool, bool]]] = {}
+    in_country = in_continent = total = 0.0
+    by_region: Dict[str, float] = {}
+    for record in demand:
+        iso2 = record.country
+        if iso2 not in outcomes:
+            outcomes[iso2] = platform._outcome(iso2)
+        outcome = outcomes[iso2]
+        if outcome is None:
+            continue
+        region_id, same_country, same_continent = outcome
+        total += record.du
+        by_region[region_id] = by_region.get(region_id, 0.0) + record.du
+        if same_country:
+            in_country += record.du
+        if same_continent:
+            in_continent += record.du
+    if total <= 0:
+        raise ValueError("no routable demand")
+    return ServiceReport(
+        in_country_fraction=in_country / total,
+        in_continent_fraction=in_continent / total,
+        demand_by_region=by_region,
+    )
+
+
+def observed_ases_and_countries(demand) -> Tuple[int, int]:
+    """Section 3's vantage counts: distinct ASes and countries in DEMAND."""
+    return (
+        len({record.asn for record in demand}),
+        len({record.country for record in demand}),
+    )
+
+
+def byte_share_report(
+    classification,
+    demand,
+    restrict_to_asns: Optional[Set[int]] = None,
+    exclude_countries: frozenset = frozenset({"CN"}),
+    cellular_bytes_per_request: float = DEFAULT_CELLULAR_BYTES_PER_REQUEST,
+) -> TrafficShareReport:
+    """Section 7.1's request vs byte share, per demand record."""
+    if cellular_bytes_per_request <= 0:
+        raise ValueError("bytes-per-request ratio must be positive")
+    labels = classification.labels.get
+    cellular_du = total_du = 0.0
+    for record in demand:
+        if record.country in exclude_countries:
+            continue
+        total_du += record.du
+        if not labels(record.subnet, False):
+            continue
+        if restrict_to_asns is not None and record.asn not in restrict_to_asns:
+            continue
+        cellular_du += record.du
+    if total_du <= 0:
+        raise ValueError("no demand to aggregate")
+    request_fraction = cellular_du / total_du
+    cellular_bytes = cellular_du * cellular_bytes_per_request
+    fixed_bytes = total_du - cellular_du
+    byte_fraction = cellular_bytes / (cellular_bytes + fixed_bytes)
+    return TrafficShareReport(
+        request_fraction=request_fraction,
+        byte_fraction=byte_fraction,
+        cellular_bytes_per_request=cellular_bytes_per_request,
+    )
+
+
+def case_study_distribution(
+    classification, demand, asn: int, family: int = 4
+) -> List[CaseStudyPoint]:
+    """Figure 6's (ratio, DU) points of one AS, a ``du_of`` per record."""
+    points = [
+        CaseStudyPoint(ratio=record.ratio, du=demand.du_of(subnet))
+        for subnet, record in classification.records.items()
+        if record.asn == asn and record.family == family
+    ]
+    if not points:
+        raise ValueError(f"AS{asn} has no IPv{family} ratio records")
+    return points

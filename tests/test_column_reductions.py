@@ -1,8 +1,9 @@
 """The census's column reductions against their old row loops.
 
-Figures 9-12, Table 8 and the key findings reduce over the resolver
-affinity's and the demand dataset's columns with the ``group_sum``
-kernel.  Each reduction must return what its per-record ``+=`` loop
+Figures 2, 6 and 9-12, Tables 2, 4 and 8, the vantage point, the
+industry comparison and the key findings reduce over the resolver
+affinity's, the ratio table's, the labels' and the demand dataset's
+columns with the ``slot_ids`` and ``group_sum`` kernels.  Each reduction must return what its per-record ``+=`` loop
 (``tests/row_oracle.py``) returns, floats bit for bit and keys in the
 same order, on both array backends and on the labs of seeds 1-3.
 Results are compared by ``repr``, so a float that moved by one ulp,
@@ -16,10 +17,15 @@ import random
 
 import pytest
 
-from repro.analysis.continent import continent_demand
+from repro.analysis.continent import continent_demand, subnets_by_continent
 from repro.analysis.country import country_demand_stats
+from repro.analysis.coverage import beacon_coverage
+from repro.analysis.industry import byte_share_report
+from repro.analysis.operators import case_study_distribution
+from repro.cdn.platform import PlatformDeployment, ServerRegion, deploy_platform
 from repro.core.classifier import SubnetClassifier
 from repro.core.ratios import RatioRecord, RatioTable
+from repro.datasets.beacon_dataset import BeaconDataset, SubnetBeaconCounts
 from repro.datasets.demand_dataset import DemandDataset
 from repro.dns.affinity import AffinityRecord, ResolverAffinity
 from repro.dns.analysis import (
@@ -276,3 +282,142 @@ class TestHandBuiltAffinity:
         ]
         with pytest.raises(ValueError, match="r1"):
             ResolverAffinity(records)
+
+
+# ---- Figure 2, Tables 2 and 4, the vantage point, industry, Figure 6 -----
+
+RESTRICTS = ["none", "accepted"]
+EXCLUDES = [frozenset({"CN"}), frozenset()]
+
+
+def census_reductions(classification, ratios, beacons, demand, geography,
+                      platform, asns, case_asns):
+    """Every new census reduction next to its old loop, by ``repr``."""
+    for family in (4, 6):
+        for weights in (None, demand):
+            same(
+                ratios.bucket_fractions(family, demand=weights),
+                oracle.bucket_fractions(ratios.records(family), demand=weights),
+            )
+    same(beacons.family_counts(), oracle.family_counts(beacons.keys()))
+    same(demand.family_counts(), oracle.family_counts(demand.position))
+    for family in (None, 4, 6):
+        same(
+            beacon_coverage(beacons, demand, family),
+            oracle.beacon_coverage(beacons, demand, family),
+        )
+    same(platform.service_report(demand), oracle.service_report(platform, demand))
+    assert (len(set(demand.asns)), len(demand.country_names)) == (
+        oracle.observed_ases_and_countries(demand)
+    )
+    for restrict in (None, asns):
+        same(
+            subnets_by_continent(classification, geography, restrict),
+            oracle.subnets_by_continent(classification, geography, restrict),
+        )
+        for exclude in EXCLUDES:
+            same(
+                byte_share_report(classification, demand, restrict, exclude),
+                oracle.byte_share_report(classification, demand, restrict, exclude),
+            )
+    for asn in case_asns:
+        for family in (4, 6):
+            try:
+                expected = oracle.case_study_distribution(
+                    classification, demand, asn, family
+                )
+            except ValueError:
+                with pytest.raises(ValueError):
+                    case_study_distribution(classification, demand, asn, family)
+                continue
+            same(
+                case_study_distribution(classification, demand, asn, family),
+                expected,
+            )
+
+
+def test_census_reductions(seeded, array_backend):
+    lab, selections = seeded
+    result = lab.result
+    census_reductions(
+        result.classification, result.ratios, lab.beacons, lab.demand,
+        lab.world.geography, deploy_platform(lab.world), set(result.operators),
+        sorted(selections["mixed"])[:8],
+    )
+
+
+class TestHandBuiltCensus:
+    """Ratio subnets with no demand row, a demand subnet without beacon
+    data, a country outside the geography, two countries served by one
+    region, and countries that first appear out of routing order."""
+
+    @pytest.fixture()
+    def census(self):
+        p = Prefix.parse
+        geography = default_geography()
+        # Demand rows: XX (unknown), then GH before US, though US's
+        # region is listed first; DE and FR share the Frankfurt region.
+        demand_rows = [
+            (p("10.9.0.0/24"), 7, "XX", 37),
+            (p("10.9.1.0/24"), 7, "GH", 101),
+            (p("2001:db8:1::/48"), 8, "FR", 13),
+            (p("10.9.2.0/24"), 8, "US", 59),
+            (p("10.9.3.0/24"), 9, "DE", 7),
+            (p("10.9.4.0/24"), 9, "CN", 29),
+            (p("2001:db8:2::/48"), 7, "GH", 3),
+            (p("10.9.5.0/24"), 8, "FR", 17),  # no beacon data
+        ]
+        demand = DemandDataset.from_request_totals(demand_rows)
+        ratio_rows = [
+            (p("10.9.6.0/24"), 7, "GH", 10, 10),  # no demand row
+            (p("10.9.1.0/24"), 7, "GH", 10, 9),
+            (p("2001:db8:1::/48"), 8, "FR", 9, 0),
+            (p("10.9.0.0/24"), 7, "XX", 11, 11),
+            (p("10.9.2.0/24"), 8, "US", 7, 1),
+            (p("2001:db8:3::/48"), 9, "DE", 5, 5),  # no demand row
+            (p("10.9.3.0/24"), 9, "DE", 13, 7),
+            (p("10.9.4.0/24"), 9, "CN", 3, 3),
+            (p("2001:db8:2::/48"), 7, "GH", 4, 1),
+        ]
+        ratios = RatioTable(
+            RatioRecord(subnet, asn, iso2, api, cell, api + 1)
+            for subnet, asn, iso2, api, cell in ratio_rows
+        )
+        beacons = BeaconDataset("2016-12")
+        for subnet, asn, iso2, api, cell in ratio_rows:
+            beacons.add_counts(SubnetBeaconCounts(subnet, asn, iso2, api + 1, api, cell))
+        platform = PlatformDeployment(
+            [
+                ServerRegion("us-1", "US", 38.9, -77.0, 10, 1),
+                ServerRegion("eu-1", "DE", 50.1, 8.7, 10, 2),
+                ServerRegion("af-1", "GH", 5.6, -0.2, 10, 3),
+            ],
+            geography,
+        )
+        return ratios, beacons, demand, geography, platform
+
+    def test_reductions(self, census, array_backend):
+        ratios, beacons, demand, geography, platform = census
+        classification = SubnetClassifier(0.5).classify(ratios)
+        assert list(platform.service_report(demand).demand_by_region) == [
+            "af-1", "eu-1", "us-1"
+        ]
+        census_reductions(
+            classification, ratios, beacons, demand, geography, platform,
+            {7, 9}, [7, 8, 9, 10],
+        )
+
+    def test_no_rows_of_a_family(self, array_backend):
+        ratios = RatioTable([RatioRecord(Prefix.parse("10.0.0.0/24"), 1, "US", 4, 1, 4)])
+        for weights in (None, DemandDataset.from_request_totals(
+            [(Prefix.parse("10.0.0.0/24"), 1, "US", 5)]
+        )):
+            with pytest.raises(ValueError, match="no IPv6 ratio records"):
+                ratios.bucket_fractions(6, demand=weights)
+        unrelated = DemandDataset.from_request_totals(
+            [(Prefix.parse("10.0.1.0/24"), 1, "US", 5)]
+        )
+        with pytest.raises(ValueError, match="no weight"):
+            ratios.bucket_fractions(4, demand=unrelated)
+        with pytest.raises(ValueError, match="no weight"):
+            oracle.bucket_fractions(ratios.records(4), demand=unrelated)

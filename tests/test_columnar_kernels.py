@@ -13,9 +13,12 @@ cross-backend cases additionally diff numpy against python directly.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import pickle
 import random
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -273,6 +276,45 @@ def test_group_sum_equals_a_dict_loop_bit_for_bit(array_backend, n):
         for group, weight in sorted(zip(groups, weights), key=lambda gw: gw[1]):
             reordered[group] = reordered.get(group, 0.0) + weight
         assert any(reordered[g] != expected[g] for g in expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 2000])
+def test_slot_ids_equal_a_bisect_loop(array_backend, n):
+    """Mixed-radix slots from int, 0/1 and float digit columns, with
+    empty, exact-tie and pass-through cuts: the ids a per-row
+    ``bisect_right`` loop gives, on both backends."""
+    rng = random.Random(n)
+    families = [rng.choice((4, 6)) for _ in range(n)]
+    flags = [rng.randrange(2) for _ in range(n)]
+    ratios = [rng.choice((0.1, 0.9, math.nextafter(0.9, 1.0), rng.random()))
+              for _ in range(n)]
+    codes = [rng.randrange(7) for _ in range(n)]
+    parts = [
+        (families, (4, 5)),
+        (flags, ()),
+        (ratios, (0.1, math.nextafter(0.9, math.inf))),
+        (codes, range(1, 7)),
+        (flags, (1,)),
+    ]
+    expected = []
+    for row in range(n):
+        slot = 0
+        for column, cuts in parts:
+            cuts = list(cuts)
+            slot = slot * (len(cuts) + 1) + bisect.bisect_right(cuts, column[row])
+        expected.append(slot)
+    k = kernels_for(array_backend)
+    columns = [
+        (array("b", families), (4, 5)),
+        (k.int_col(flags), ()),
+        (k.float_col(ratios), (0.1, math.nextafter(0.9, math.inf))),
+        (k.take(k.int_col(range(7)), codes), range(1, 7)),
+        (array("b", flags), (1,)),
+    ]
+    for given in (parts, columns):
+        assert k.to_list(k.slot_ids(given)) == expected
+    ids = k.to_list(k.slot_ids(parts[:1]))
+    assert all(type(i) is int for i in ids)
 
 
 def test_ratio_division_past_float53_uses_exact_path(array_backend):

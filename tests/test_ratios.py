@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.ratios import RatioRecord, RatioTable, bucket_fractions
+from repro.core.ratios import RatioRecord, RatioTable
 from repro.datasets.beacon_dataset import BeaconDataset, SubnetBeaconCounts
 from repro.datasets.demand_dataset import DemandDataset
 from repro.net.prefix import Prefix
+from tests import row_oracle as oracle
 
 
 def record(subnet="10.0.0.0/24", api=10, cell=5, asn=1, country="US", hits=None):
@@ -120,14 +121,12 @@ class TestDistributions:
         table = RatioTable([record()])
         with pytest.raises(ValueError):
             table.bucket_fractions(4, low=0.9, high=0.1)
-        with pytest.raises(ValueError):
-            bucket_fractions([record()], low=0.9, high=0.1)
-        with pytest.raises(ValueError):
-            bucket_fractions([])
+        with pytest.raises(ValueError, match="no IPv6 ratio records"):
+            table.bucket_fractions(6)
 
     def test_bucket_fractions_over_records_in_hand(self):
-        # Figure 2 selects each family's records once and splits them
-        # twice; the split must equal the table method's, weights and all.
+        # The table's column split must equal the per-record loop over
+        # one family's records (tests/row_oracle.py), weights and all.
         rows = [
             record("10.0.0.0/24", api=7, cell=1),
             record("2001:db8::/48", api=9, cell=9),
@@ -147,6 +146,6 @@ class TestDistributions:
         for family in (4, 6):
             records = table.records(family)
             for weights in (None, demand):
-                assert bucket_fractions(records, demand=weights) == (
+                assert oracle.bucket_fractions(records, demand=weights) == (
                     table.bucket_fractions(family, demand=weights)
                 )
