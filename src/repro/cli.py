@@ -53,7 +53,7 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0 (``--max-retries 0`` is legal)."""
+    """argparse type: an integer >= 0 (``--warmup 0`` is legal)."""
     try:
         value = int(text)
     except ValueError:
@@ -99,22 +99,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None, metavar="DIR",
         help="dataset cache directory; repeated runs with the same "
              "seed/scale skip dataset regeneration",
-    )
-    parser.add_argument(
-        "--max-retries", type=_nonnegative_int, default=2, metavar="N",
-        help="per-shard retry budget for transient failures and "
-             "crashed workers (default: 2)",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=_positive_float, default=None,
-        metavar="SECONDS",
-        help="per-shard wall-clock budget; a shard exceeding it is "
-             "retried against the --max-retries budget (default: none)",
-    )
-    parser.add_argument(
-        "--hedge", action="store_true",
-        help="duplicate-submit straggler shards (first result wins); "
-             "results stay identical either way",
     )
     parser.add_argument(
         "--array-backend", default=None, metavar="NAME",
@@ -186,9 +170,6 @@ def _make_lab(args: argparse.Namespace) -> Lab:
         workers=args.workers,
         shards=args.shards,
         cache_dir=args.cache_dir,
-        max_retries=getattr(args, "max_retries", 2),
-        shard_timeout_s=getattr(args, "shard_timeout", None),
-        hedge=getattr(args, "hedge", False),
     )
 
 

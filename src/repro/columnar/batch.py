@@ -8,7 +8,7 @@ fixed-width arithmetic; ``to_rows`` rejoins them into the full
 integer value only at the Python-object boundary.
 
 Batches know which backend built their columns (``backend``), so code
-that receives a pickled batch from a pool worker dispatches kernels by
+that receives a pickled batch from a shard worker dispatches kernels by
 the batch's own name instead of trusting process-global state --
 worker and parent can never disagree about how to read a column.
 

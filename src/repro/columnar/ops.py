@@ -6,7 +6,7 @@ the operations the pipeline actually runs: classify a batch, merge
 per-AS partials, group-accumulate subnet counts, partition by shard
 hash, restore dataset order.  The kernels are resolved from each
 batch's own ``backend`` name, so an operation applied to a batch a
-pool worker pickled back always reads the columns the way they were
+shard worker pickled back always reads the columns the way they were
 written.
 
 Ordering contract (the bit-identity currency of this codebase):
@@ -27,7 +27,7 @@ def spot_batch(
 ) -> Tuple[SpotBatch, Tuple[List[int], List[int]]]:
     """Classify one beacon batch: kept rows + labels + per-AS hits.
 
-    The columnar kernel behind the ``_spot_shard`` pool worker
+    The columnar kernel behind the ``_spot_shard`` shard function
     (replacing its old per-row loop, frozen as the row-wise oracle
     ``spot_rows`` in ``tests/row_oracle.py``);
     returns the kept rows (``api >= min_api_hits``, batch order) with

@@ -8,7 +8,7 @@ after showing accuracy is stable across (0.1, 0.96)).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.ratios import RatioRecord, RatioTable
@@ -38,18 +38,19 @@ class SubnetClassifier:
         return record.ratio >= self.threshold
 
     def classify(self, ratios: RatioTable) -> "ClassificationResult":
-        """Label every subnet in the table."""
-        labels: Dict[Prefix, bool] = {}
-        records: Dict[Prefix, RatioRecord] = {}
-        for record in ratios:
-            labels[record.subnet] = self.is_cellular(record)
-            records[record.subnet] = record
+        """Label every subnet in the table (which the result keeps)."""
+        records = ratios._by_subnet
+        labels = {
+            subnet: self.is_cellular(record)
+            for subnet, record in records.items()
+        }
         return ClassificationResult(
-            threshold=self.threshold, labels=labels, records=records
+            threshold=self.threshold, labels=labels, records=records,
+            ratios=ratios,
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassificationResult:
     """Subnet labels produced by one classifier run.
 
@@ -57,18 +58,25 @@ class ClassificationResult:
     order of ``labels``.  Built with the result: ``label_column``, the
     labels as 0/1 in that order, and ``table``, the classified
     :class:`RatioTable` over ``records``, whose row columns line up
-    with it.
+    with it -- ``ratios`` when given (a table whose rows are exactly
+    ``records``), else built from ``records``.  The result is frozen,
+    so both always describe its fields: derive a changed result with
+    :func:`dataclasses.replace`.
     """
 
     threshold: float
     labels: Dict[Prefix, bool]
     records: Dict[Prefix, RatioRecord]
+    ratios: InitVar[Optional[RatioTable]] = None
     label_column: array = field(init=False, repr=False, compare=False)
     table: RatioTable = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.label_column = array("b", bytearray(self.labels.values()))
-        self.table = RatioTable._from_ordered(self.records)
+    def __post_init__(self, ratios: Optional[RatioTable]) -> None:
+        label_column = array("b", bytearray(self.labels.values()))
+        object.__setattr__(self, "label_column", label_column)
+        if ratios is None:
+            ratios = RatioTable._from_ordered(self.records)
+        object.__setattr__(self, "table", ratios)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -78,9 +78,6 @@ class CellSpotter:
         workers: int = 1,
         shards: Optional[int] = None,
         force_processes: bool = False,
-        max_retries: int = 2,
-        shard_timeout_s: Optional[float] = None,
-        hedge: bool = False,
     ) -> CellSpotterResult:
         """Run all stages on observable datasets.
 
@@ -92,14 +89,8 @@ class CellSpotter:
         sharded pipeline (:mod:`repro.parallel`), which produces a
         result *equal* to the serial path -- the differential suite
         asserts exactly that.  ``force_processes`` bypasses the
-        hardware clamp so tests exercise the process-pool path even on
+        hardware clamp so tests exercise the process path even on
         single-core machines.
-
-        ``max_retries``, ``shard_timeout_s``, and ``hedge`` tune the
-        sharded path's self-healing (crashed-worker resubmission,
-        per-shard wall budget, straggler hedging -- see
-        :class:`repro.parallel.executor.ShardPlan`); shard purity
-        keeps retried or hedged runs byte-identical to clean ones.
         """
         plan = None
         if workers != 1 or shards is not None or force_processes:
@@ -108,9 +99,6 @@ class CellSpotter:
             plan = ShardPlan.plan(
                 workers=workers, shards=shards,
                 force_processes=force_processes,
-                max_retries=max_retries,
-                shard_timeout_s=shard_timeout_s,
-                hedge=hedge,
             )
         if plan is not None and not plan.is_serial:
             from repro.parallel.pipeline import run_sharded
@@ -151,10 +139,8 @@ class CellSpotter:
             "operator_profiles",
             lambda: operator_profiles(as_result, cutoff=self.dedicated_cutoff),
         )
-        # The classified table holds the same rows in the same order,
-        # with its row columns: one copy of them serves both.
         return CellSpotterResult(
-            ratios=classification.table,
+            ratios=ratios,
             classification=classification,
             as_result=as_result,
             operators=operators,

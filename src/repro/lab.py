@@ -65,11 +65,6 @@ class Lab:
     workers: int = 1
     #: Prefix-hash shard count (None = one shard per worker).
     shards: Optional[int] = None
-    #: Self-healing knobs for the sharded path (see
-    #: :class:`repro.parallel.executor.ShardPlan`).
-    max_retries: int = 2
-    shard_timeout_s: Optional[float] = None
-    hedge: bool = False
     #: When set, datasets are fetched from / stored into this
     #: :class:`repro.parallel.cache.DatasetCache` directory instead of
     #: being regenerated on every run.
@@ -95,9 +90,6 @@ class Lab:
         workers: int = 1,
         shards: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        max_retries: int = 2,
-        shard_timeout_s: Optional[float] = None,
-        hedge: bool = False,
     ) -> "Lab":
         """Build a world and wrap it in a lab."""
         world = build_world(
@@ -116,9 +108,6 @@ class Lab:
             workers=workers,
             shards=shards,
             cache_dir=cache_dir,
-            max_retries=max_retries,
-            shard_timeout_s=shard_timeout_s,
-            hedge=hedge,
         )
 
     # ---- dataset cache ---------------------------------------------------
@@ -231,9 +220,6 @@ class Lab:
                     self.as_classes,
                     workers=self.workers,
                     shards=self.shards,
-                    max_retries=self.max_retries,
-                    shard_timeout_s=self.shard_timeout_s,
-                    hedge=self.hedge,
                 )
         return self._result
 

@@ -340,8 +340,8 @@ def default_rules() -> List[AlertRule]:
             op=">",
             threshold=0.5,
             for_s=0.0,
-            description="shard executor retrying faster than 1 every 2s "
-                        "-- workers are crashing or timing out in bulk",
+            description="shard executor recomputing faster than 1 shard "
+                        "every 2s -- workers are failing in bulk",
         ),
         AlertRule(
             name="serving-plane-overload",

@@ -18,12 +18,12 @@ small, dependency-free metric types defined here:
 **Thread safety.**  Unlike the original serve-only layer, every
 mutation (``inc`` / ``set`` / ``observe``) and every registry
 operation takes a small lock: the experiment guard runs runners on
-worker threads, and the process-pool path's parent-side bookkeeping
+worker threads, and the sharded path's parent-side bookkeeping
 (shard timings, merge metrics) may interleave with signal-handler
 dumps.  Exports are **deep snapshots** -- no nested list or dict in an
 exported payload aliases live metric state, pinned by a mutation test.
 
-**Process model.**  Metrics are process-local.  Pool workers
+**Process model.**  Metrics are process-local.  Forked shard workers
 (:mod:`repro.parallel.executor`) each see their own registry; their
 work surfaces in the parent through the per-shard timings the executor
 returns, which the parent records against *its* registry.

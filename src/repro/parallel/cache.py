@@ -171,8 +171,8 @@ def iter_shard_batches(
     column dict per record batch.  Peak allocation is one batch, not
     one shard, no matter how large the shard grows.
 
-    Module-level and picklable-friendly so pool workers can call it
-    directly; raises :class:`CacheCorruption` on any mismatch.
+    Module-level so forked shard workers can call it directly;
+    raises :class:`CacheCorruption` on any mismatch.
     """
     _verify_shard_digest(path, sha256_hex)
     with open(path, "r", encoding="utf-8") as stream:

@@ -10,7 +10,7 @@ last float:
     (:mod:`repro.columnar`), prefix-hash partitioned with the
     vectorized shard-index kernel, every shard runs the ratio/label
     stage as one :func:`~repro.columnar.ops.spot_batch` call (possibly
-    in a process pool), and the parent merges shard outputs by
+    in forked workers), and the parent merges shard outputs by
     concatenating columns and argsorting the idx column back into
     serial iteration order before the (cheap, inherently global)
     AS-identification tail runs.
@@ -61,7 +61,7 @@ from repro.parallel.views import DemandMap
 def _spot_shard(
     args: Tuple[BeaconBatch, int, float]
 ) -> Tuple[SpotBatch, Tuple[List[int], List[int]]]:
-    """Columnar ratio + label stage for one shard (pool worker).
+    """Columnar ratio + label stage for one shard.
 
     One :func:`repro.columnar.ops.spot_batch` call over the shard's
     record batch -- the vectorized replacement for the per-row loop
@@ -79,8 +79,7 @@ def _spot_shard(
 def _spot_beacon_shard_file(
     args: Tuple[str, str, str, int, float]
 ) -> Tuple[SpotBatch, Tuple[List[int], List[int]]]:
-    """Stream one cached BEACON shard and spot it batch-at-a-time
-    (pool worker).
+    """Stream one cached BEACON shard and spot it batch-at-a-time.
 
     Each record batch is decoded, spotted with the columnar kernels,
     and released before the next one is read -- peak memory is one
@@ -104,8 +103,7 @@ def _spot_beacon_shard_file(
 
 
 def _fetch_demand_shard_file(args: Tuple[str, str, str]) -> DemandBatch:
-    """Stream one cached DEMAND shard into a columnar batch
-    (pool worker)."""
+    """Stream one cached DEMAND shard into a columnar batch."""
     path, sha256_hex, backend = args
     parts = [
         DemandBatch.from_columns(columns, backend)

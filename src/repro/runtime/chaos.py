@@ -11,9 +11,10 @@ its sub-plan, checking the chaos plane's core contract:
 
 Concretely:
 
-- **executor** -- the sharded pipeline runs under worker SIGKILLs,
-  hangs, flakes, and stragglers; its census CSV must equal the serial
-  fault-free bytes.
+- **executor** -- the sharded pipeline runs under worker SIGKILLs and
+  flaky shards, each healed by recomputing the failed worker's shards
+  in the parent; its census CSV must equal the serial fault-free
+  bytes.
 - **cache** -- a torn shard write is planted at store time; the next
   fetch must detect it (digest verify), quarantine the entry, and
   regenerate datasets whose census equals the baseline.
@@ -65,9 +66,6 @@ _DRILL_BACKGROUND_AS = 400
 _DRILL_BEACONS = BeaconConfig(month="2017-01", demand_hits=6000, base_hits=2.0)
 _DRILL_WORKERS = 3
 _DRILL_SHARDS = 4
-#: Wall budget per shard while a hang fault is armed: far above an
-#: honest shard at drill scale, far below the planted 30s sleep.
-_HANG_TIMEOUT_S = 1.0
 
 
 @dataclass
@@ -185,9 +183,8 @@ def _drill_lab(cache_dir=None):
 def _run_executor_drill(
     sub: FaultPlan, lab, baseline: bytes, state_dir: Path
 ) -> DrillResult:
-    """Sharded run under crash/hang/flake/straggler faults."""
+    """Sharded run under worker crash and flake faults."""
     names = [spec.name for spec in sub.faults]
-    has_hang = any(spec.kind == "worker_hang" for spec in sub.faults)
     with chaos(sub, state_dir=state_dir):
         result = lab.spotter.run(
             lab.beacons,
@@ -196,9 +193,6 @@ def _run_executor_drill(
             workers=_DRILL_WORKERS,
             shards=_DRILL_SHARDS,
             force_processes=True,
-            max_retries=3,
-            shard_timeout_s=_HANG_TIMEOUT_S if has_hang else None,
-            hedge=True,
         )
         injected = injected_counts(sub)
     identical = _census_bytes(result, lab.demand) == baseline
@@ -207,7 +201,7 @@ def _run_executor_drill(
         faults=names,
         injected=injected,
         identical=identical,
-        recovered=True,  # the run completed at all => pool healed
+        recovered=True,  # the run completed at all => failed shards recomputed
         detail="sharded census vs serial fault-free census",
     )
 
@@ -368,7 +362,7 @@ def run_chaos(
     """Run every drill the plan's fault sites call for; full report.
 
     ``state_dir`` holds the cross-process firing ledger (required for
-    pool-worker faults); a temporary directory is used when omitted.
+    worker-process faults); a temporary directory is used when omitted.
     """
     with tempfile.TemporaryDirectory(prefix="chaos-state-") as fallback:
         root = Path(state_dir) if state_dir is not None else Path(fallback)
@@ -380,11 +374,11 @@ def _run_drills(plan: FaultPlan, root: Path) -> ChaosReport:
     report = ChaosReport(plan=plan.name, seed=plan.seed)
     alert_engine = AlertEngine(rules=default_rules(), log_path=None)
     registry = global_registry()
-    # The executor meters register lazily on first pool use; the rate
-    # rule needs the counter present in the *baseline* sample too.
+    # The executor meters register lazily on first use; the rate rule
+    # needs the counter present in the *baseline* sample too.
     instrument(
         "counter", "shard_retries_total",
-        "shard attempts resubmitted after a failure or timeout",
+        "shards recomputed in the parent after their worker failed",
     )
 
     def observe(ts: float) -> None:

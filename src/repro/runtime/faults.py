@@ -1,6 +1,6 @@
 """Deterministic fault injection: the chaos plane's control surface.
 
-The census pipeline must survive worker crashes, stragglers, torn
+The census pipeline must survive worker crashes, flaky shards, torn
 writes, and overload; this module makes those failures *injectable on
 demand* so the self-healing paths are exercised by tests and the
 ``cellspot chaos`` drill instead of waiting for production to find
@@ -17,7 +17,7 @@ them.  Design rules:
   (``probability``); there is no wall-clock or ``random`` state, so
   the same plan over the same workload injects the same faults in
   every process, every run.
-* **Fire-once across processes.**  A SIGKILL'd pool worker loses its
+* **Fire-once across processes.**  A SIGKILL'd worker loses its
   memory, so in-memory counters cannot bound firings.  An activated
   plan claims each firing by exclusively creating a mark file in its
   ``state_dir`` (``O_CREAT | O_EXCL`` -- atomic on POSIX), which both
@@ -33,9 +33,7 @@ Fault kinds and the layer expected to heal them:
 =============== ==================== ================================
 kind            typical site         healed by
 =============== ==================== ================================
-worker_crash    executor.shard       pool rebuild + shard resubmit
-worker_hang     executor.shard       per-shard timeout + retry
-slow_shard      executor.shard       straggler hedging (optional)
+worker_crash    executor.shard       shard recomputed in the parent
 torn_write      cache.store /        digest verify -> quarantine ->
                 stream.snapshot      regenerate / SnapshotError
 stall           stream.source /      bounded drain still completes /
@@ -57,8 +55,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 _VALID_KINDS = (
-    "worker_crash", "worker_hang", "slow_shard", "torn_write",
-    "stall", "error",
+    "worker_crash", "torn_write", "stall", "error",
 )
 
 #: Sites wired through the codebase (documented; plans may name any
@@ -97,7 +94,7 @@ class FaultSpec:
     at: Optional[int] = None
     #: Total firings allowed across *all* processes (None = unbounded).
     times: Optional[int] = 1
-    #: Sleep length for the delay kinds (hang / slow / stall).
+    #: Sleep length for a ``stall``.
     delay_s: float = 0.05
     #: Seeded firing probability (1.0 = always when site/at match).
     probability: float = 1.0
@@ -167,7 +164,7 @@ class FaultSpec:
 
 @dataclass
 class FaultPlan:
-    """A named, seeded set of fault specs (picklable for pool workers)."""
+    """A named, seeded set of fault specs (picklable for worker processes)."""
 
     name: str = "unnamed"
     seed: int = 0
@@ -245,9 +242,9 @@ def default_fault_plan() -> FaultPlan:
     """The built-in smoke plan: one fault per healed layer.
 
     Exactly the fault set the differential acceptance names: a worker
-    SIGKILL, a hung worker, a slow shard, a torn cache write, a torn
-    snapshot, a stream stall, and a serve-side overload stall plus a
-    failing index refresh.
+    SIGKILL, a flaky shard, a torn cache write, a torn snapshot, a
+    stream stall, and a serve-side overload stall plus a failing index
+    refresh.
     """
     return FaultPlan(
         name="smoke",
@@ -255,15 +252,10 @@ def default_fault_plan() -> FaultPlan:
         faults=[
             FaultSpec(name="kill-shard-1", site="executor.shard",
                       kind="worker_crash", at=1, times=1),
-            FaultSpec(name="hang-shard-2", site="executor.shard",
-                      kind="worker_hang", at=2, times=1, delay_s=30.0),
-            FaultSpec(name="slow-shard-0", site="executor.shard",
-                      kind="slow_shard", at=0, times=1, delay_s=0.4),
-            # Deterministic retries (feeds the shard-retry-storm rule):
-            # shard 3 raises twice, then its budget is spent and the
-            # third attempt succeeds.
+            # Shard 3 raises once in its worker and is recomputed in the
+            # parent (feeds the shard-retry-storm rule).
             FaultSpec(name="flake-shard-3", site="executor.shard",
-                      kind="error", at=3, times=2),
+                      kind="error", at=3, times=1),
             FaultSpec(name="tear-cache-shard-0", site="cache.store",
                       kind="torn_write", at=0, times=1),
             FaultSpec(name="tear-snapshot", site="stream.snapshot",
@@ -285,7 +277,7 @@ def default_fault_plan() -> FaultPlan:
 _ACTIVE: Optional[FaultPlan] = None
 #: In-memory firing ledger, used when the plan has no state_dir.
 _LOCAL_FIRES: Dict[str, int] = {}
-#: True in executor pool workers (worker_crash may SIGKILL only there).
+#: True in forked workers (worker_crash may SIGKILL only there).
 _IS_WORKER = False
 
 
@@ -330,16 +322,9 @@ def chaos(
 
 
 def mark_worker_process() -> None:
-    """Flag this process as a pool worker (enables real SIGKILL)."""
+    """Flag this process as a worker (enables real SIGKILL)."""
     global _IS_WORKER
     _IS_WORKER = True
-
-
-def pool_initializer(plan: Optional[FaultPlan]) -> None:
-    """``ProcessPoolExecutor`` initializer: re-arm the plan in workers."""
-    mark_worker_process()
-    if plan is not None:
-        activate(plan)
 
 
 # ---- firing --------------------------------------------------------------
@@ -389,9 +374,9 @@ def _execute(spec: FaultSpec, path: Optional[Union[str, Path]]) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
         # In the parent (or serial mode) a SIGKILL would take down the
         # whole run -- the thing the chaos plane exists to prevent --
-        # so the crash degrades to a retryable raised fault.
+        # so the crash degrades to a raised fault.
         raise InjectedFault(f"{spec.name}: worker_crash (in-process)")
-    if spec.kind in ("worker_hang", "slow_shard", "stall"):
+    if spec.kind == "stall":
         time.sleep(spec.delay_s)
         return
     if spec.kind == "torn_write":

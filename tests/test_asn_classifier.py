@@ -1,5 +1,7 @@
 """Unit tests for AS-level identification and the filtering rules."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.asn_classifier import (
@@ -96,9 +98,9 @@ class TestAggregation:
 
     def test_empty_classification(self):
         classification, demand, beacons, _ = build_inputs()
-        classification.labels = {
+        classification = replace(classification, labels={
             subnet: False for subnet in classification.labels
-        }
+        })
         assert aggregate_candidates(classification, demand, beacons) == {}
 
 

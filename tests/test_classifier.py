@@ -1,5 +1,7 @@
 """Unit tests for the threshold subnet classifier."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.classifier import ClassificationResult, SubnetClassifier
@@ -45,6 +47,12 @@ class TestSubnetClassifier:
         assert not result.is_cellular(Prefix.parse("10.0.1.0/24"))
         assert len(result) == 2
 
+    def test_result_keeps_the_input_table(self):
+        ratios = table(record("10.0.0.0/24", 10, 9))
+        result = SubnetClassifier(0.5).classify(ratios)
+        assert result.table is ratios
+        assert list(result.records.values()) == list(ratios)
+
 
 class TestClassificationResult:
     @pytest.fixture()
@@ -82,3 +90,14 @@ class TestClassificationResult:
 
     def test_asns_with_cellular(self, result):
         assert result.asns_with_cellular() == {1: 2, 3: 1}
+
+    def test_replace_rebuilds_the_label_column(self, result):
+        flipped = {subnet: not label for subnet, label in result.labels.items()}
+        changed = dataclasses.replace(result, labels=flipped)
+        assert changed.label_column.tolist() == [int(v) for v in flipped.values()]
+        assert result.label_column.tolist() == [1, 1, 0, 1]
+        assert list(changed.table) == list(result.table)
+
+    def test_fields_cannot_be_assigned(self, result):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.labels = {}

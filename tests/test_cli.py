@@ -20,24 +20,14 @@ class TestParser:
         args = parser.parse_args(["experiment", "table5"] + ARGS)
         assert args.id == "table5"
 
-    def test_resilience_flags_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["run", "--max-retries", "0", "--shard-timeout", "1.5",
-             "--hedge"] + ARGS
-        )
-        assert args.max_retries == 0
-        assert args.shard_timeout == 1.5
-        assert args.hedge is True
-        args = parser.parse_args(["all"] + ARGS)
-        assert args.max_retries == 2 and args.shard_timeout is None
-
     @pytest.mark.parametrize(
         "flags",
         [
-            ["run", "--max-retries", "-1"],
-            ["run", "--shard-timeout", "0"],
-            ["run", "--shard-timeout", "-2"],
+            # The shard executor recomputes a failed shard instead of
+            # retrying it: it has no retry budget, timeout or hedge.
+            ["run", "--max-retries", "0"],
+            ["run", "--shard-timeout", "1.5"],
+            ["run", "--hedge"],
             ["serve", "--max-pending", "0"],
             ["serve", "--deadline", "0"],
         ],

@@ -45,6 +45,9 @@ class TestFaultSpec:
              "times must be"),
             ({"name": "x", "site": "s", "kind": "stall",
               "probability": 1.5}, "probability"),
+            # Kinds the executor no longer heals (no timeout, no hedge).
+            ({"name": "x", "site": "s", "kind": "worker_hang"}, "unknown kind"),
+            ({"name": "x", "site": "s", "kind": "slow_shard"}, "unknown kind"),
         ],
     )
     def test_bad_specs_rejected(self, raw, fragment):

@@ -15,7 +15,8 @@ import pytest
 
 from repro.datasets.demand_dataset import DemandDataset, SubnetDemand
 from repro.net.prefix import Prefix
-from repro.parallel.executor import ShardExecutor, ShardPlan, available_cpus
+from repro.parallel.chunks import available_cpus
+from repro.parallel.executor import ShardExecutor, ShardPlan
 from repro.parallel.sharding import (
     beacon_rows,
     demand_rows,
@@ -154,7 +155,7 @@ def test_available_cpus_positive():
 
 
 def _describe(arg):
-    """Module-level so it pickles into pool workers."""
+    """The doubled argument and the pid of the process that ran it."""
     return arg * 2, os.getpid()
 
 
@@ -173,7 +174,7 @@ def test_executor_preserves_submission_order_across_processes():
     results = executor.map(_describe, list(range(8)))
     assert [value for _, (value, _) in results] == [i * 2 for i in range(8)]
     pids = {pid for _, (_, pid) in results}
-    assert os.getpid() not in pids, "work must run in pool workers"
+    assert pids - {os.getpid()}, "some shard must run in a forked child"
 
 
 def test_executor_single_job_stays_in_process():

@@ -71,6 +71,8 @@ def test_labels_follow_ratio_rows(lab, tmp_path, path):
     if path == "serial":
         result = lab.result
         ratios, classification = result.ratios, result.classification
+        # The serial pipeline builds the row columns once.
+        assert classification.table is ratios
     elif path == "sharded":
         result = run_sharded(
             lab.spotter, lab.beacons, lab.demand, lab.as_classes,
