@@ -23,7 +23,7 @@ scale (0.005):
    ``WORKER_P99_CEILING_S``: fanning out must not trade per-query
    latency for throughput.
 3. **Tracing overhead.**  Turning on the distributed observability
-   plane (``obs_dir``: per-request spans, the crash flight recorder,
+   plane (``obs_dir``: per-request spans, the front's dispatch record,
    and worker metric federation) must cost less than 5% aggregate
    throughput.  Both arms run interleaved best-of-2 at the full query
    count and the gate pins ``best_traced / best_untraced`` at
@@ -234,10 +234,10 @@ def test_plane_aggregate_throughput_and_tail(lab, tmp_path):
             )
     overhead_ratio = max(traced_rates) / max(untraced_rates)
     # The traced arm must actually have traced: request spans from the
-    # front, per-worker metric segments, and the crash flight rings.
+    # front, per-worker metric segments, and per-worker request spans.
     assert list((obs_dir / "front").glob("spans-*.jsonl"))
     assert list(obs_dir.glob("worker-*/segment-*.jsonl"))
-    assert list(obs_dir.glob("worker-*.fr"))
+    assert list(obs_dir.glob("worker-*/spans-*.jsonl"))
 
     print(
         f"\nplane aggregate {aggregate:,.0f} q/s over {WORKERS} workers "

@@ -527,7 +527,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     resumes without duplicating or losing a single count.
     """
     from repro.obs.alerts import AlertRuleError
-    from repro.serve.service import install_sigusr1_registry
     from repro.stream.engine import SnapshotError
 
     if args.events and args.generate:
@@ -561,11 +560,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = _make_service(
         args, engine, alert_engine=alert_engine, drift_monitor=drift_monitor
     )
-    if not (args.metrics_out or args.trace_out):
-        # With --metrics-out / --trace-out the observability layer
-        # owns SIGUSR1 (atomic file dumps); without them, keep the
-        # legacy dump-JSON-to-stderr behavior.
-        install_sigusr1_registry(service.metrics)
     try:
         events, closer = _event_source(args, skip=resumed)
     except ValueError as exc:
@@ -660,7 +654,6 @@ def _cmd_serve_scale(args: argparse.Namespace) -> int:
 
     from repro.obs.alerts import AlertRuleError
     from repro.scale.plane import PlaneConfig, ServingPlane
-    from repro.serve.service import install_sigusr1_registry
 
     if not args.socket and args.port is None:
         print("error: serve-scale needs --socket and/or --port",
@@ -699,7 +692,6 @@ def _cmd_serve_scale(args: argparse.Namespace) -> int:
             startup_timeout_s=args.startup_timeout,
             obs_dir=obs_dir,
             obs_scrape_interval_s=args.scrape_interval,
-            flight_records=args.flight_records,
             drill_slow_worker=drill,
         )
     except ValueError as exc:
@@ -720,12 +712,6 @@ def _cmd_serve_scale(args: argparse.Namespace) -> int:
         # every front scrape as name{worker="N"} keys, so the offline
         # reader / alert engine / `cellspot top` see per-worker series.
         scraper.add_enricher(plane.federation_metrics)
-    if not (getattr(args, "metrics_out", None)
-            or getattr(args, "trace_out", None)):
-        # Same operator reflex as `cellspot serve`: SIGUSR1 dumps the
-        # front's metrics to stderr unless the observability layer owns
-        # the signal for atomic file dumps.
-        install_sigusr1_registry(plane.metrics)
 
     def _ready(_plane) -> None:
         where = []
@@ -1376,8 +1362,8 @@ def _cmd_postmortem(args: argparse.Namespace) -> int:
 
     Reads the observability directory a ``serve-scale --obs-dir`` run
     left behind, joins every process's span segments on the run
-    ``trace_id``, folds in worker-death artifacts and flight-recorder
-    rings, and prints one timeline (or exports a Chrome trace).
+    ``trace_id``, folds in worker-death artifacts, and prints one
+    timeline (or exports a Chrome trace).
     """
     import json as json_module
 
@@ -1828,15 +1814,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_scale.add_argument(
         "--obs-dir", default=None, metavar="DIR",
         help="distributed observability root: cross-process trace "
-             "segments, per-worker metric export, and crash flight "
-             "recorders land here (default: <snapshot-dir>/obs when "
+             "segments, per-worker metric export, and worker death "
+             "artifacts land here (default: <snapshot-dir>/obs when "
              "--timeseries-dir or alerting is on; omit both to run "
              "untraced)",
-    )
-    serve_scale.add_argument(
-        "--flight-records", type=_positive_int, default=128, metavar="N",
-        help="slots in each worker's crash flight-recorder ring "
-             "(default: 128)",
     )
     serve_scale.add_argument(
         "--drill-slow-worker", default=None, metavar="SLOT:SECONDS",
@@ -2051,8 +2032,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="join distributed spans from a serve-scale obs directory",
         description="Interleave front, worker, and builder spans from "
                     "an --obs-dir run on one monotonic clock, list "
-                    "worker-death artifacts (with the exact dying "
-                    "request from each crash flight recorder), and "
+                    "worker-death artifacts (each naming the request its "
+                    "worker died holding, or last answered), and "
                     "optionally export a Chrome trace.",
     )
     postmortem.add_argument(

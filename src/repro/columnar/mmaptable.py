@@ -36,7 +36,7 @@ import sys
 import math
 from array import array
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.ratios import RatioRecord, RatioTable
 from repro.net.prefix import Prefix
@@ -68,8 +68,9 @@ def _require_little_endian() -> None:
         )
 
 
-def save_mmap(table: RatioTable, path: Union[str, Path]) -> Path:
-    """Write ``table`` as an mmap snapshot; returns the path."""
+def save_mmap(table: Iterable[RatioRecord], path: Union[str, Path]) -> Path:
+    """Write ``table`` (a :class:`RatioTable` or any iterable of its
+    records, one per subnet) as an mmap snapshot; returns the path."""
     _require_little_endian()
     path = Path(path)
     records = sorted(

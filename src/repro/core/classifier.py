@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, List, Optional, Set
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.core.ratios import RatioRecord, RatioTable
 from repro.net.prefix import Prefix
@@ -59,14 +60,15 @@ class ClassificationResult:
     labels as 0/1 in that order, and ``table``, the classified
     :class:`RatioTable` over ``records``, whose row columns line up
     with it -- ``ratios`` when given (a table whose rows are exactly
-    ``records``), else built from ``records``.  The result is frozen,
-    so both always describe its fields: derive a changed result with
-    :func:`dataclasses.replace`.
+    ``records``), else built from ``records``.  The result is frozen
+    and ``labels`` and ``records`` are read-only views over the dicts
+    it was given (no copy), so the columns always describe its fields:
+    derive a changed result with :func:`dataclasses.replace`.
     """
 
     threshold: float
-    labels: Dict[Prefix, bool]
-    records: Dict[Prefix, RatioRecord]
+    labels: Mapping[Prefix, bool]
+    records: Mapping[Prefix, RatioRecord]
     ratios: InitVar[Optional[RatioTable]] = None
     label_column: array = field(init=False, repr=False, compare=False)
     table: RatioTable = field(init=False, repr=False, compare=False)
@@ -77,6 +79,8 @@ class ClassificationResult:
         if ratios is None:
             ratios = RatioTable._from_ordered(self.records)
         object.__setattr__(self, "table", ratios)
+        object.__setattr__(self, "labels", MappingProxyType(self.labels))
+        object.__setattr__(self, "records", MappingProxyType(self.records))
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -42,6 +42,31 @@ class RatioRecord:
         return self.subnet.family
 
 
+def ratio_records(
+    beacons: Iterable[SubnetBeaconCounts], min_api_hits: int = 1
+) -> Iterator[RatioRecord]:
+    """The ratio record of each subnet with at least ``min_api_hits``
+    API-enabled hits, lazily, in the order of ``beacons``.
+
+    Subnets below the floor are dropped: their ratios are
+    statistically meaningless.
+    """
+    if min_api_hits < 1:
+        raise ValueError("min_api_hits must be >= 1")
+    return (
+        RatioRecord(
+            subnet=counts.subnet,
+            asn=counts.asn,
+            country=counts.country,
+            api_hits=counts.api_hits,
+            cellular_hits=counts.cellular_hits,
+            hits=counts.hits,
+        )
+        for counts in beacons
+        if counts.api_hits >= min_api_hits
+    )
+
+
 class RatioTable:
     """Cellular ratios for all subnets with usable API data.
 
@@ -123,25 +148,10 @@ class RatioTable:
         cls, beacons: Iterable[SubnetBeaconCounts], min_api_hits: int = 1
     ) -> "RatioTable":
         """Compute ratios from a BEACON dataset (or any iterable of its
-        per-subnet counts, such as the stream's live windows).
-
-        Subnets with fewer than ``min_api_hits`` API-enabled hits are
-        dropped: their ratios are statistically meaningless.
+        per-subnet counts, such as the stream's live windows), keeping
+        the records :func:`ratio_records` yields.
         """
-        if min_api_hits < 1:
-            raise ValueError("min_api_hits must be >= 1")
-        return cls(
-            RatioRecord(
-                subnet=counts.subnet,
-                asn=counts.asn,
-                country=counts.country,
-                api_hits=counts.api_hits,
-                cellular_hits=counts.cellular_hits,
-                hits=counts.hits,
-            )
-            for counts in beacons
-            if counts.api_hits >= min_api_hits
-        )
+        return cls(ratio_records(beacons, min_api_hits))
 
     # ---- mmap snapshots ----------------------------------------------------
 

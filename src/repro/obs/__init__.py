@@ -22,7 +22,8 @@ front end all record into one telemetry spine:
 subcommand runs inside it, which gives any command ``--metrics-out``
 (Prometheus text or JSON by extension), ``--trace-out`` (Chrome
 trace), ``--prof-sample``, and a ``SIGUSR1`` handler that dumps both
-files atomically mid-run.  Deterministic call counts need no repo
+files atomically mid-run (or, without either file, writes the
+registry's JSON to stderr).  Deterministic call counts need no repo
 code: run the CLI under the standard library's deterministic profiler
 (see ``docs/observability.md``).
 """
@@ -93,7 +94,8 @@ def _install_sigusr1(
     registry: MetricsRegistry,
     tracer: Tracer,
 ):
-    """Dump telemetry files on ``SIGUSR1``.
+    """Dump telemetry on ``SIGUSR1``: the requested files, or without
+    either one the registry's JSON to stderr.
 
     Returns ``(installed, previous_handler)``; ``installed`` is False
     when signals are unavailable (non-main thread, platforms without
@@ -103,6 +105,10 @@ def _install_sigusr1(
         return False, None
 
     def _dump(_signum, _frame):
+        if metrics_out is None and trace_out is None:
+            sys.stderr.write(registry.render_json(indent=2) + "\n")
+            sys.stderr.flush()
+            return
         try:
             if metrics_out is not None:
                 dump_metrics(metrics_out, registry)
@@ -134,7 +140,8 @@ def observed_command(
       and every structured log record inside carries the run's
       ``trace_id``;
     - installs a ``SIGUSR1`` handler that atomically dumps the
-      requested telemetry files mid-run (restored on exit);
+      requested telemetry files mid-run, or writes the registry's JSON
+      to stderr when no file is requested (restored on exit);
     - optionally runs the wall-clock sampling profiler
       (``--prof-sample``, :class:`~repro.obs.sampler.SamplingProfiler`);
     - on exit -- success *or* failure -- writes ``metrics_out`` /
@@ -146,12 +153,9 @@ def observed_command(
 
     registry = reset_global_registry()
     tracer = reset_tracer()
-    handler_installed = False
-    previous_handler = None
-    if metrics_out is not None or trace_out is not None:
-        handler_installed, previous_handler = _install_sigusr1(
-            metrics_out, trace_out, registry, tracer
-        )
+    handler_installed, previous_handler = _install_sigusr1(
+        metrics_out, trace_out, registry, tracer
+    )
     run = ObservedRun(registry=registry, tracer=tracer)
     stack_sampler = None
     try:

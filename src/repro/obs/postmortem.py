@@ -8,8 +8,7 @@ directory behind::
       builder/        spans-*.jsonl        builder.publish spans
       worker-<slot>/  spans-*.jsonl        per-request worker spans
                       segment-*.jsonl      the worker's metric samples
-      worker-<slot>.fr                     crash flight-recorder ring
-      postmortem-worker<slot>-*.json       death artifacts (harvested)
+      postmortem-worker<slot>-*.json       death artifacts (front-written)
 
 Every span carries the run ``trace_id`` (``tid``) and a
 ``perf_counter`` start (``mono`` -- ``CLOCK_MONOTONIC`` on Linux,
@@ -26,7 +25,6 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.obs.flight import FlightRecorderError, read_flight_ring
 from repro.obs.trace import read_span_log
 
 #: Span sources recognized under an obs directory.
@@ -34,7 +32,6 @@ FRONT_DIR = "front"
 BUILDER_DIR = "builder"
 WORKER_PREFIX = "worker-"
 ARTIFACT_PREFIX = "postmortem-"
-RING_SUFFIX = ".fr"
 
 
 def _span_sources(obs_dir: Path) -> List[Path]:
@@ -82,21 +79,10 @@ def collect_artifacts(obs_dir: Union[str, Path]) -> List[Dict]:
     return artifacts
 
 
-def collect_flight_rings(obs_dir: Union[str, Path]) -> Dict[str, Dict]:
-    """``{worker-<slot>: parsed ring}`` for every readable ring file."""
-    rings: Dict[str, Dict] = {}
-    for path in sorted(Path(obs_dir).glob(f"{WORKER_PREFIX}*{RING_SUFFIX}")):
-        try:
-            rings[path.stem] = read_flight_ring(path)
-        except (FlightRecorderError, OSError):
-            continue
-    return rings
-
-
 def build_postmortem(
     obs_dir: Union[str, Path], trace_id: Optional[str] = None
 ) -> Dict:
-    """Join spans + artifacts + rings into one postmortem payload.
+    """Join spans + death artifacts into one postmortem payload.
 
     Without an explicit ``trace_id`` the dominant one (most spans --
     one plane run is one trace) is chosen; ``trace_ids`` lists every
@@ -120,7 +106,6 @@ def build_postmortem(
         "spans": selected,
         "sources": sources,
         "artifacts": collect_artifacts(obs_dir),
-        "rings": collect_flight_rings(obs_dir),
     }
 
 
@@ -171,15 +156,6 @@ def render_text(postmortem: Dict, limit: Optional[int] = None) -> str:
             f"pid {artifact.get('pid')} ({artifact.get('reason', '?')}) -- "
             f"dying request rid={dying.get('rid') or '-'} "
             f"[{dying.get('outcome', '-')}] {dying.get('line', '')[:80]}"
-        )
-    for name, ring in sorted(postmortem["rings"].items()):
-        records = ring["records"]
-        inflight = sum(
-            1 for record in records if record["outcome"] == "inflight"
-        )
-        lines.append(
-            f"flight ring {name}: {len(records)} record(s), "
-            f"{inflight} in flight, next seq {ring['next_seq']}"
         )
     return "\n".join(lines) + "\n"
 

@@ -118,10 +118,6 @@ class ShardPlan:
         """True when the plan degenerates to the plain serial pipeline."""
         return self.shards == 1 and self.workers == 1
 
-    @property
-    def use_processes(self) -> bool:
-        return self.workers > 1
-
 
 def _worker_rss_bytes() -> float:
     """The calling process's RSS right now (worker-side measurement)."""

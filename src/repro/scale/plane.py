@@ -68,6 +68,7 @@ from repro.serve.protocol import (
     dumps,
     error,
     health_payload,
+    is_ok,
 )
 
 logger = get_logger("scale.plane")
@@ -150,14 +151,12 @@ class PlaneConfig:
     #: Observability root.  When set, the front mints request ids,
     #: injects ``_trace`` envelopes toward workers, records
     #: ``front.request`` spans, federates worker metric samples, and
-    #: harvests flight-recorder rings on worker death.  ``None`` keeps
-    #: the plane byte-for-byte on its untraced fast path.
+    #: writes a death artifact naming each dead worker's last request.
+    #: ``None`` keeps the plane byte-for-byte on its untraced fast path.
     obs_dir: Optional[Union[str, Path]] = None
     #: Cadence of the workers' local metric export into their segment
     #: rings (only meaningful with ``obs_dir``).
     obs_scrape_interval_s: float = 0.5
-    #: Slots in each worker's crash flight-recorder ring.
-    flight_records: int = 128
     #: ``(slot, seconds)``: slow every query on that slot's *first*
     #: incarnation by ``seconds`` -- a deliberate sick replica for
     #: skew-alert drills.  A respawn of the slot runs at full speed.
@@ -176,8 +175,6 @@ class PlaneConfig:
             raise ValueError("stats_timeout_s must be positive")
         if self.obs_scrape_interval_s <= 0:
             raise ValueError("obs_scrape_interval_s must be positive")
-        if self.flight_records < 1:
-            raise ValueError("flight_records must be >= 1")
         if self.drill_slow_worker is not None:
             slot, seconds = self.drill_slow_worker
             if slot < 0 or slot >= self.workers:
@@ -220,10 +217,26 @@ class WorkerHandle:
         #: ``time.perf_counter()`` when the front's connection opened.
         self.connected = time.perf_counter()
         self._lock = asyncio.Lock()
-        #: Front-side view of the request currently on the wire to this
-        #: worker (only maintained when observability is on); harvested
-        #: into the death artifact if the worker dies mid-request.
-        self.inflight: Optional[Dict] = None
+        #: The last request the front dispatched to this worker (kept
+        #: only when observability is on): ``rid``, a 240-byte ``line``
+        #: excerpt, the wall-clock ``ts``, and an ``outcome`` that reads
+        #: ``inflight`` until the reply lands, then ``ok`` or ``error``.
+        #: A dead worker's death artifact names it.
+        self.last_request: Optional[Dict] = None
+
+    def settle(self, reply: bytes) -> None:
+        """Record the outcome of the last request once its reply lands."""
+        if self.last_request is not None:
+            self.last_request["outcome"] = (
+                "ok" if is_ok(reply) else "error"
+            )
+
+    def inflight_rid(self) -> Optional[str]:
+        """The rid of the request on the wire to this worker, if any."""
+        last = self.last_request
+        if last is None or last["outcome"] != "inflight":
+            return None
+        return last["rid"]
 
     async def request(self, line: bytes) -> bytes:
         """One request/response roundtrip (serialized per worker)."""
@@ -248,9 +261,9 @@ class PlaneObs:
     Owns the obs directory layout (see :mod:`repro.obs.postmortem`),
     mints run-unique request ids under the run ``trace_id``, records
     ``front.request`` spans, federates the workers' latest exported
-    metric samples into worker-tagged keys, and harvests a dead
-    worker's flight-recorder ring into a ``postmortem-*.json``
-    artifact naming the exact dying request.
+    metric samples into worker-tagged keys, and writes a dead
+    worker's ``postmortem-*.json`` artifact naming the request the
+    front last dispatched to it.
     """
 
     def __init__(self, obs_dir: Union[str, Path]) -> None:
@@ -264,7 +277,7 @@ class PlaneObs:
         self._artifacts = 0
 
     def next_request_id(self) -> str:
-        """Monotonic per-run request id (16 chars: fits the flight ring)."""
+        """Monotonic per-run request id (``req-`` and 12 digits)."""
         self._seq += 1
         return f"req-{self._seq:012d}"
 
@@ -330,24 +343,14 @@ class PlaneObs:
 
     # ---- crash harvesting ------------------------------------------------
 
-    def harvest_worker(self, handle: WorkerHandle, reason: str) -> Optional[Path]:
-        """Freeze a dead worker's flight ring into a death artifact."""
-        from repro.obs.flight import FlightRecorderError, read_flight_ring
+    def harvest_worker(self, handle: WorkerHandle, reason: str) -> Path:
+        """Write a dead worker's death artifact.
 
-        ring_path = self.root / f"worker-{handle.slot}.fr"
-        ring: Optional[Dict] = None
-        try:
-            ring = read_flight_ring(ring_path)
-        except (FlightRecorderError, OSError):
-            ring = None
-        dying: Optional[Dict] = None
-        if ring is not None:
-            for record in reversed(ring["records"]):
-                if record["outcome"] == "inflight":
-                    dying = record
-                    break
-            if dying is None and ring["records"]:
-                dying = ring["records"][-1]
+        Its ``dying_request`` is the worker's last dispatched request:
+        outcome ``inflight`` when the worker died holding it, else the
+        request it last answered; ``None`` if it never served one.
+        """
+        dying = handle.last_request
         self._artifacts += 1
         artifact = {
             "kind": "worker-death",
@@ -357,17 +360,7 @@ class PlaneObs:
             "pid": handle.process.pid,
             "exitcode": handle.process.exitcode,
             "reason": reason,
-            "inflight_front": handle.inflight,
             "dying_request": dying,
-            "flight": (
-                {
-                    "path": ring["path"],
-                    "records": len(ring["records"]),
-                    "next_seq": ring["next_seq"],
-                }
-                if ring is not None
-                else None
-            ),
         }
         path = self.root / (
             f"postmortem-worker{handle.slot}-{self._artifacts:04d}.json"
@@ -552,7 +545,6 @@ class ServingPlane:
                 obs_dir=str(self._obs.root),
                 trace_id=self._obs.trace_id,
                 obs_scrape_interval_s=self.config.obs_scrape_interval_s,
-                flight_records=self.config.flight_records,
             )
         drill = self.config.drill_slow_worker
         if drill is not None and drill[0] == slot and incarnation == 0:
@@ -705,10 +697,11 @@ class ServingPlane:
             cap = WORKER_REPLY_CAP_S
             budget = cap if remaining is None else min(remaining, cap)
             if rid is not None:
-                handle.inflight = {
+                handle.last_request = {
                     "rid": rid,
                     "line": line[:240].decode("utf-8", "replace").rstrip("\n"),
                     "ts": time.time(),
+                    "outcome": "inflight",
                 }
             task = asyncio.ensure_future(handle.request(line))
             try:
@@ -734,14 +727,14 @@ class ServingPlane:
                     continue
                 return error("worker failed")
             else:
-                handle.inflight = None
+                handle.settle(reply)
                 self._idle.put_nowait(handle)
                 return reply
 
     async def _reclaim(self, handle: WorkerHandle, task: asyncio.Future) -> None:
         """Re-idle a worker whose reply outlived its request's deadline."""
         try:
-            await asyncio.wait_for(task, WORKER_REPLY_CAP_S)
+            reply = await asyncio.wait_for(task, WORKER_REPLY_CAP_S)
         except (
             asyncio.TimeoutError,
             ConnectionError,
@@ -750,7 +743,7 @@ class ServingPlane:
         ):
             await self._retire(handle, reason="reclaim failed")
         else:
-            handle.inflight = None
+            handle.settle(reply)
             if handle.alive:
                 self._idle.put_nowait(handle)
 
@@ -944,6 +937,11 @@ class ServingPlane:
             },
         )
         if self._obs is not None:
+            payload["inflight"] = {
+                str(handle.slot): handle.inflight_rid()
+                for handle in self._workers
+                if handle.alive
+            }
             try:
                 payload["workers"] = self._obs.worker_rollup()
                 payload["trace_id"] = self._obs.trace_id

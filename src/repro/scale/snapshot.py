@@ -30,11 +30,11 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.columnar.mmaptable import MmapRatioTable, open_mmap, save_mmap
 from repro.core.classifier import DEFAULT_THRESHOLD
-from repro.core.ratios import RatioTable
+from repro.core.ratios import RatioRecord
 from repro.runtime.faults import fault_point
 from repro.serve.index import ClassificationIndex
 
@@ -88,9 +88,11 @@ class SnapshotCatalog:
         return sorted(found)
 
     def publish(
-        self, table: RatioTable, meta: Optional[Dict] = None
+        self, table: Iterable[RatioRecord], meta: Optional[Dict] = None
     ) -> GenerationInfo:
-        """Write ``table`` as the next generation and point at it."""
+        """Write ``table`` -- a :class:`~repro.core.ratios.RatioTable`
+        or any iterable of its records -- as the next generation and
+        point at it."""
         latest = self.latest(missing_ok=True)
         number = (latest.number if latest is not None else 0) + 1
         name = f"gen-{number:06d}.rt"
@@ -114,11 +116,14 @@ class SnapshotCatalog:
     ) -> GenerationInfo:
         """Publish a stream engine's ratio table, then prune to ``keep``.
 
-        The generation's ``meta`` records the engine's progress:
-        ``events`` consumed, ``windows`` advanced and the ``month``.
+        The records stream straight into the snapshot file: no
+        :class:`~repro.core.ratios.RatioTable` (nor its row columns) is
+        built for it.  The generation's ``meta`` records the engine's
+        progress: ``events`` consumed, ``windows`` advanced and the
+        ``month``.
         """
         info = self.publish(
-            engine.ratio_table(min_api_hits),
+            engine.ratio_records(min_api_hits),
             meta={
                 "events": engine.events_consumed,
                 "windows": engine.windows_advanced,

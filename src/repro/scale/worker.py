@@ -19,12 +19,12 @@ worker additionally runs its own telemetry spine (:class:`WorkerObs`):
 per-request child spans (decode / LPM / enrich) under the front's
 ``trace_id`` into a bounded ``spans-`` segment ring, its local metric
 registry exported on the scraper cadence into worker-tagged
-time-series segments, and a crash flight recorder -- an mmap ring of
-the last N request lines that survives ``SIGKILL``
-(:mod:`repro.obs.flight`).  All of it is strictly additive: the
-response bytes are built from the parsed request alone (the front's
-``_trace`` envelope is popped first), so traced answers stay
-byte-identical to untraced ones.
+time-series segments.  The request a worker dies holding is named by
+the front, which keeps its own record of what it last dispatched to
+each worker (:class:`~repro.scale.plane.WorkerHandle`).  All of it is
+strictly additive: the response bytes are built from the parsed
+request alone (the front's ``_trace`` envelope is popped first), so
+traced answers stay byte-identical to untraced ones.
 
 The worker exits when the front closes the connection (graceful drain)
 or disappears (EOF): workers never outlive their plane.
@@ -84,13 +84,11 @@ def worker_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistr
 
 
 class WorkerObs:
-    """One worker's distributed-telemetry bundle (span log, metric
-    export, flight recorder) rooted under the plane's obs directory.
+    """One worker's distributed-telemetry bundle (span log and metric
+    export) rooted under the plane's obs directory.
 
     Layout: spans and metric segments share ``<obs>/worker-<slot>/``
-    (distinct ring prefixes); the flight ring is the sibling file
-    ``<obs>/worker-<slot>.fr`` so the front can harvest it after the
-    worker process is gone.
+    (distinct ring prefixes).
     """
 
     def __init__(
@@ -100,9 +98,7 @@ class WorkerObs:
         trace_id: str,
         registry: MetricsRegistry,
         scrape_interval_s: float = 0.5,
-        flight_records: int = 128,
     ) -> None:
-        from repro.obs.flight import FlightRecorder
         from repro.obs.resources import ResourceSampler
         from repro.obs.timeseries import MetricScraper, TimeSeriesStore
         from repro.obs.trace import SpanLog
@@ -112,9 +108,6 @@ class WorkerObs:
         self.slot = slot
         self.trace_id = trace_id
         self.spans = SpanLog(root / name, source=name)
-        self.flight = FlightRecorder(
-            root / f"{name}.fr", slots=flight_records
-        )
         self.scraper = MetricScraper(
             TimeSeriesStore(root / name),
             registry=registry,
@@ -141,7 +134,6 @@ class WorkerObs:
             self.resources.uninstall()
         except Exception:  # noqa: BLE001 -- teardown best effort
             pass
-        self.flight.close()
 
 
 class QueryWorker:
@@ -284,13 +276,9 @@ class QueryWorker:
         if obs is None:
             return self.handle_request(request)
         decoded = time.perf_counter()
-        generation = self.holder.generation
-        rid = trace.get("rid", "") if isinstance(trace, dict) else ""
-        token = obs.flight.begin(line, rid, generation)
         timings = {"lpm": 0.0, "enrich": 0.0, "queries": 0}
         response = self.handle_request(request, timings=timings)
-        ok = response.startswith(b'{"ok":true')
-        obs.flight.end(token, ok=ok)
+        ok = protocol.is_ok(response)
         self._record_spans(
             trace, request, decode_started, decoded, timings, ok
         )
@@ -378,7 +366,6 @@ def worker_main(
     obs_dir: Optional[str] = None,
     trace_id: Optional[str] = None,
     obs_scrape_interval_s: float = 0.5,
-    flight_records: int = 128,
     slow_query_s: float = 0.0,
 ) -> None:
     """Process entry point: serve one front connection until EOF."""
@@ -400,7 +387,6 @@ def worker_main(
             trace_id=trace_id or "",
             registry=worker.metrics,
             scrape_interval_s=obs_scrape_interval_s,
-            flight_records=flight_records,
         )
         worker.obs = obs
         obs.start()

@@ -45,6 +45,11 @@ def error(message: str) -> bytes:
     return dumps({"ok": False, "error": message})
 
 
+def is_ok(reply: bytes) -> bool:
+    """Whether a reply line answers its request (``"ok"`` comes first)."""
+    return reply.startswith(b'{"ok":true')
+
+
 #: The explicit refusal of admission control and deadlines.
 SHED_RESPONSE = dumps({"ok": False, "error": "overloaded", "overloaded": True})
 _SHED_ITEM = SHED_RESPONSE.decode().rstrip("\n")

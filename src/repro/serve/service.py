@@ -35,7 +35,8 @@ prefix of the event stream (see
 duplicated or lost.
 
 ``SIGUSR1`` dumps the metrics JSON to stderr without disturbing the
-request stream (installed by the CLI front end, main thread only).
+request stream (the handler every CLI command runs under,
+:func:`repro.obs.observed_command`).
 
 **Overload and degradation.**  The service degrades explicitly, never
 silently:
@@ -851,29 +852,3 @@ class CellSpotService:
             socket_path.unlink(missing_ok=True)
         return answered
 
-
-def install_sigusr1_registry(registry, stream=None) -> bool:
-    """Dump a metrics registry's JSON to ``stream`` (stderr) on ``SIGUSR1``.
-
-    Returns False when signals are unavailable (non-main thread,
-    platforms without SIGUSR1) -- the caller works without it.  Shared
-    by the single-process service and the serving-plane front so both
-    answer the same operator reflex with the same atomic dump.
-    """
-    import signal
-    import sys
-
-    if not hasattr(signal, "SIGUSR1"):
-        return False
-    target = stream if stream is not None else sys.stderr
-
-    def _dump(_signum, _frame):
-        target.write(registry.render_json(indent=2))
-        target.write("\n")
-        target.flush()
-
-    try:
-        signal.signal(signal.SIGUSR1, _dump)
-    except ValueError:  # not the main thread
-        return False
-    return True

@@ -28,7 +28,7 @@ import json
 import logging
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Iterator, Optional, Union
 
 from repro.cdn.logs import BeaconHit
 from repro.core.classifier import (
@@ -36,7 +36,7 @@ from repro.core.classifier import (
     ClassificationResult,
     SubnetClassifier,
 )
-from repro.core.ratios import RatioTable
+from repro.core.ratios import RatioRecord, RatioTable, ratio_records
 from repro.obs.metrics import MeterCache, instrument
 from repro.runtime.checkpoint import atomic_writer
 from repro.runtime.faults import fault_point
@@ -182,17 +182,22 @@ class StreamEngine:
 
     # ---- live views ------------------------------------------------------
 
-    def ratio_table(self, min_api_hits: int = 1) -> RatioTable:
-        """The live :class:`RatioTable` (aggregate + open window).
+    def ratio_records(self, min_api_hits: int = 1) -> Iterator[RatioRecord]:
+        """The live ratio records (aggregate + open window), lazily, in
+        canonical subnet order.
 
-        Built by ``RatioTable.from_beacons``, so the record filter
-        (subnets with fewer than ``min_api_hits`` API hits are
-        dropped) is the batch one.
+        Filtered by :func:`~repro.core.ratios.ratio_records`, so the
+        record filter (subnets with fewer than ``min_api_hits`` API
+        hits are dropped) is the batch one.
         """
-        return RatioTable.from_beacons(
+        return ratio_records(
             (counts for _subnet, counts in self.state.combined()),
             min_api_hits=min_api_hits,
         )
+
+    def ratio_table(self, min_api_hits: int = 1) -> RatioTable:
+        """The live :class:`RatioTable` over :meth:`ratio_records`."""
+        return RatioTable(self.ratio_records(min_api_hits))
 
     def classification(
         self,

@@ -101,3 +101,11 @@ class TestClassificationResult:
     def test_fields_cannot_be_assigned(self, result):
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.labels = {}
+
+    def test_labels_and_records_are_read_only(self, result):
+        subnet = next(iter(result.labels))
+        with pytest.raises(TypeError):
+            result.labels[subnet] = False
+        with pytest.raises(TypeError):
+            result.records[subnet] = result.records[subnet]
+        assert result.labels[subnet] is True

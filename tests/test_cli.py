@@ -28,6 +28,9 @@ class TestParser:
             ["run", "--max-retries", "0"],
             ["run", "--shard-timeout", "1.5"],
             ["run", "--hedge"],
+            # The front names a dead worker's request: no flight ring.
+            ["serve-scale", "--snapshot-dir", "cat", "--socket", "p.sock",
+             "--flight-records", "64"],
             ["serve", "--max-pending", "0"],
             ["serve", "--deadline", "0"],
         ],

@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,53 @@ class TestServeCommand:
             "--window-events", "5000",
         ]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGUSR1"), reason="no SIGUSR1 on this platform"
+    )
+    def test_sigusr1_dumps_metrics_json_and_keeps_serving(
+        self, hits_file, beacon_hits, tmp_path
+    ):
+        """Without --metrics-out/--trace-out, SIGUSR1 writes the
+        registry's JSON to stderr; the server answers on."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+        )
+        query = json.dumps({"op": "query", "q": _known_address(beacon_hits)})
+        err_path = tmp_path / "serve.err"
+        with open(err_path, "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--events", str(hits_file), "--window-events", "5000"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=err,
+                cwd=tmp_path, env=env, text=True,
+            )
+            try:
+                proc.stdin.write(query + "\n")
+                proc.stdin.flush()
+                assert json.loads(proc.stdout.readline())["ok"]
+                proc.send_signal(signal.SIGUSR1)
+                deadline = time.monotonic() + 60.0
+                while "events_ingested_total" not in err_path.read_text():
+                    assert proc.poll() is None, err_path.read_text()
+                    assert time.monotonic() < deadline, "no SIGUSR1 dump"
+                    time.sleep(0.05)
+                proc.stdin.write(query + "\n")
+                proc.stdin.flush()
+                assert json.loads(proc.stdout.readline())["ok"]
+                proc.stdin.write(json.dumps({"op": "shutdown"}) + "\n")
+                proc.stdin.close()
+                assert proc.wait(timeout=60) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=30)
+                proc.stdout.close()
+        text = err_path.read_text()
+        start = text.index("{")
+        dump, _end = json.JSONDecoder().raw_decode(text, start)
+        assert dump["events_ingested_total"]["value"] > 0
 
     def test_resume_then_drain_matches_batch(
         self, monkeypatch, capsys, hits_file, beacon_hits, tmp_path

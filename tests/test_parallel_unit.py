@@ -116,7 +116,6 @@ def test_plan_defaults_are_serial():
     assert plan.workers == 1
     assert plan.shards == 1
     assert plan.is_serial
-    assert not plan.use_processes
 
 
 def test_plan_clamps_to_hardware():
@@ -129,7 +128,6 @@ def test_plan_clamps_to_hardware():
 def test_plan_force_processes_bypasses_clamp():
     plan = ShardPlan.plan(workers=4, force_processes=True)
     assert plan.workers == 4
-    assert plan.use_processes
     assert not plan.is_serial
 
 

@@ -18,6 +18,7 @@ import logging
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -27,12 +28,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cdn.beacon import BeaconConfig
-from repro.obs.flight import read_flight_ring
 from repro.obs.metrics import MetricsRegistry, merge_histogram_dicts
 from repro.scale.plane import (
     PlaneConfig,
+    PlaneObs,
     SHED_RESPONSE,
     ServingPlane,
+    WorkerHandle,
     plane_metrics,
 )
 from repro.scale.snapshot import SnapshotCatalog
@@ -83,13 +85,14 @@ class TestPlaneConfig:
             {"startup_timeout_s": 0.0},
             {"stats_timeout_s": 0.0},
             {"obs_scrape_interval_s": 0.0},
-            {"flight_records": 0},
+            {"flight_records": 0},  # a removed knob: unknown keyword
             {"drill_slow_worker": (4, 0.01)},  # slot out of range
             {"drill_slow_worker": (0, 0.0)},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
+        expected = TypeError if "flight_records" in kwargs else ValueError
+        with pytest.raises(expected):
             PlaneConfig(**kwargs)
 
     def test_no_deadline_is_allowed(self):
@@ -506,6 +509,80 @@ class TestFrontHardening:
         assert plane.metrics.get("scale_stats_timeouts_total").value == 0
 
 
+class _ScriptedHandle(WorkerHandle):
+    """A worker handle without a process: each request waits for the
+    reply the test puts on ``replies``."""
+
+    def __init__(self, slot: int) -> None:
+        super().__init__(
+            slot, SimpleNamespace(pid=4200 + slot, exitcode=-9),
+            f"worker-{slot}.sock", None, None,
+        )
+        self.replies: asyncio.Queue = asyncio.Queue()
+
+    async def request(self, line: bytes) -> bytes:
+        return await self.replies.get()
+
+
+class TestWorkerDeathArtifact:
+    """``PlaneObs.harvest_worker`` names the request the front last
+    dispatched to the dead worker, as ``_dispatch`` recorded it."""
+
+    def test_dying_request_is_the_front_dispatch_record(self, tmp_path):
+        obs_dir = tmp_path / "obs"
+        plane = ServingPlane(
+            tmp_path / "cat",
+            config=PlaneConfig(workers=3, deadline_s=None, obs_dir=obs_dir),
+            registry=MetricsRegistry(),
+        )
+        answer = b'{"ok":true,"result":{}}\n'
+
+        async def scenario():
+            busy, idle, fresh = (_ScriptedHandle(slot) for slot in range(3))
+            plane._workers = [busy, idle, fresh]
+            # ``idle`` answers one request; ``busy`` then holds one.
+            plane._idle.put_nowait(idle)
+            idle.replies.put_nowait(answer)
+            first = await plane.handle_line(b'{"op":"query","q":"192.0.2.1"}')
+            assert first == answer
+            assert plane._idle.get_nowait() is idle
+            plane._idle.put_nowait(busy)
+            held = asyncio.ensure_future(
+                plane.handle_line(b'{"op":"query","q":"192.0.2.2"}')
+            )
+            while busy.last_request is None:
+                await asyncio.sleep(0)
+            health = await plane.health()
+            for handle in (busy, idle, fresh):
+                plane._obs.harvest_worker(handle, "process exited (exit -9)")
+            busy.replies.put_nowait(b'{"ok":false,"error":"boom"}\n')
+            await held
+            return health, busy.last_request["outcome"]
+
+        health, settled = asyncio.run(scenario())
+        assert health["inflight"] == {
+            "0": "req-000000000002", "1": None, "2": None,
+        }
+        assert settled == "error"
+        artifacts = {}
+        for path in sorted(obs_dir.glob("postmortem-worker*.json")):
+            artifact = json.loads(path.read_text())
+            assert artifact["kind"] == "worker-death"
+            assert artifact["reason"] == "process exited (exit -9)"
+            assert artifact["pid"] == 4200 + artifact["slot"]
+            artifacts[artifact["slot"]] = artifact["dying_request"]
+        assert sorted(artifacts) == [0, 1, 2]
+        # Killed mid-request: that request, still in flight.
+        assert artifacts[0]["rid"] == "req-000000000002"
+        assert artifacts[0]["outcome"] == "inflight"
+        assert "192.0.2.2" in artifacts[0]["line"]
+        # Killed idle: its last request, answered.
+        assert artifacts[1]["rid"] == "req-000000000001"
+        assert artifacts[1]["outcome"] == "ok"
+        # Never served: nothing to name.
+        assert artifacts[2] is None
+
+
 # ---- full plane over real worker processes ------------------------------
 
 
@@ -637,7 +714,7 @@ async def _plane_obs_scenario(catalog_dir, obs_dir, socket_path, service, probes
         config=PlaneConfig(
             workers=2, max_pending=32, deadline_s=5.0,
             startup_timeout_s=60.0, obs_dir=obs_dir,
-            obs_scrape_interval_s=0.1, flight_records=32,
+            obs_scrape_interval_s=0.1,
         ),
         registry=MetricsRegistry(),
     )
@@ -684,13 +761,17 @@ async def _plane_obs_scenario(catalog_dir, obs_dir, socket_path, service, probes
         raise AssertionError("per-worker federated series never appeared")
     assert federated[tagged[0]][0] == "h"
 
-    # 3. The health op exposes the rollup and the run trace id.
+    # 3. The health op exposes the rollup, the run trace id, and each
+    #    live worker's in-flight rid (none: this client waits for its
+    #    replies).
     health = json.loads(await roundtrip({"op": "health"}))
     assert health["trace_id"] == plane._obs.trace_id
     assert {row["worker"] for row in health["workers"]} == {"0", "1"}
+    assert health["inflight"] == {"0": None, "1": None}
+    last_rid = plane._workers[0].last_request["rid"]
 
-    # 4. SIGKILL one worker: the front must harvest its flight ring
-    #    into a death artifact naming a request before respawning.
+    # 4. SIGKILL an idle worker: the front writes a death artifact
+    #    naming the last request it answered before respawning.
     pids_before = [
         int(token) for token in plane.pid_file().read_text().split()
     ]
@@ -712,8 +793,8 @@ async def _plane_obs_scenario(catalog_dir, obs_dir, socket_path, service, probes
     assert artifact["kind"] == "worker-death"
     assert artifact["slot"] == 0
     assert artifact["trace_id"] == plane._obs.trace_id
-    assert artifact["dying_request"] is not None
-    assert artifact["dying_request"]["rid"].startswith("req-")
+    assert artifact["dying_request"]["rid"] == last_rid
+    assert artifact["dying_request"]["outcome"] == "ok"
 
     # 5. Still byte-identical after the respawn, tracing still on.
     await differential_pass()
@@ -938,7 +1019,7 @@ def scale_drill(tmp_path_factory):
              "--timeseries-dir", "plane-ts",
              "--alert-log", "plane-alerts.jsonl",
              "--scrape-interval", "0.2",
-             "--obs-dir", "cat-obs", "--flight-records", "64",
+             "--obs-dir", "cat-obs",
              "--drill-slow-worker", "0:0.005"],
             cwd=root, stderr=plane_err, env=env,
         )
@@ -955,8 +1036,9 @@ def scale_drill(tmp_path_factory):
             #    can move pending -> firing on the federated series.
             time.sleep(2.2)
             # 3. Overload burst with a mid-burst SIGKILL of the drilled
-            #    worker, fired while its flight ring shows a request in
-            #    flight; the reaper respawns the slot without the drill.
+            #    worker, fired while the front's health reply names a
+            #    request in flight on it; the reaper respawns the slot
+            #    without the drill.
             pid_file = root / "cat" / "workers.pids"
             drill.pids = [int(t) for t in pid_file.read_text().split()]
             burst = loadgen(
@@ -964,16 +1046,22 @@ def scale_drill(tmp_path_factory):
                 "--overload-concurrency", "64", "--report", "lg2.json",
                 wait=False,
             )
-            ring = root / "cat-obs" / "worker-0.fr"
-            deadline = time.monotonic() + 30.0
-            while True:
-                records = read_flight_ring(ring)["records"]
-                if records and records[-1]["outcome"] == "inflight":
-                    break
-                if time.monotonic() >= deadline or burst.poll() is not None:
-                    pytest.fail("worker 0 never had a request in flight")
-                time.sleep(0.005)
-            os.kill(drill.pids[0], signal.SIGKILL)
+            with socket.socket(socket.AF_UNIX) as probe:
+                probe.connect(str(root / "plane.sock"))
+                replies = probe.makefile("rb")
+                deadline = time.monotonic() + 30.0
+                while True:
+                    probe.sendall(b'{"op":"health"}\n')
+                    health = json.loads(replies.readline())
+                    if health["inflight"].get("0") is not None:
+                        break
+                    if (
+                        time.monotonic() >= deadline
+                        or burst.poll() is not None
+                    ):
+                        pytest.fail("worker 0 never had a request in flight")
+                    time.sleep(0.005)
+                os.kill(drill.pids[0], signal.SIGKILL)
             deadline = time.monotonic() + 30.0
             while True:
                 drill.respawned = [int(t) for t in pid_file.read_text().split()]

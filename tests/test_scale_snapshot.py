@@ -8,6 +8,7 @@ published generation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 
@@ -71,6 +72,29 @@ class TestSnapshotCatalog:
         ]
         assert catalog.generations() == [3, 4]
         assert catalog.latest().number == 4
+
+    @pytest.mark.parametrize("min_api_hits", [1, 3])
+    def test_publish_engine_writes_the_tables_bytes(
+        self, lab, tmp_path, min_api_hits
+    ):
+        """Each generation ``publish_engine`` streams from the engine's
+        records is byte-for-byte ``save_mmap`` of its ratio table."""
+        from repro.columnar.mmaptable import save_mmap
+
+        catalog = SnapshotCatalog(tmp_path / "cat")
+        engine = StreamEngine(policy=WindowPolicy(window_events=5_000))
+        events = generated_events(
+            lab.world, BeaconConfig(demand_hits=30_000, base_hits=5)
+        )
+        for step in range(3):
+            # 7,000 events: a closed window plus a part-filled one.
+            engine.ingest_many(itertools.islice(events, 7_000))
+            info = catalog.publish_engine(engine, min_api_hits, keep=5)
+            expected = save_mmap(
+                engine.ratio_table(min_api_hits), tmp_path / f"exp-{step}.rt"
+            )
+            assert info.table_path.read_bytes() == expected.read_bytes()
+        assert catalog.generations() == [1, 2, 3]
 
     def test_corrupt_pointer_raises_catalog_error(self, engines, tmp_path):
         catalog = SnapshotCatalog(tmp_path / "cat")

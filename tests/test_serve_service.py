@@ -11,11 +11,7 @@ import threading
 import pytest
 
 from repro.net.addr import format_ip
-from repro.serve.service import (
-    CellSpotService,
-    ServiceConfig,
-    install_sigusr1_registry,
-)
+from repro.serve.service import CellSpotService, ServiceConfig
 from repro.stream import StreamEngine, WindowPolicy
 
 POLICY = WindowPolicy(window_events=4096, decay=1.0)
@@ -242,15 +238,23 @@ class TestServeSocket:
 
 
 class TestSigusr1:
-    def test_dump_writes_metrics_json(self, beacon_hits):
+    def test_dump_writes_metrics_json(self, beacon_hits, monkeypatch):
+        """A command run without telemetry files dumps the global
+        registry, where the service registers, as JSON to stderr."""
         import signal
 
-        service = _service(beacon_hits[:100])
+        from repro.obs import observed_command
+        from repro.obs.metrics import global_registry
+        from repro.serve.service import service_metrics
+
         sink = io.StringIO()
-        assert install_sigusr1_registry(service.metrics, stream=sink)
-        try:
+        monkeypatch.setattr("sys.stderr", sink)
+        with observed_command("serve"):
+            service = CellSpotService(
+                engine=StreamEngine(policy=POLICY),
+                metrics=service_metrics(registry=global_registry()),
+            )
+            service.drain(iter(beacon_hits[:100]))
             os.kill(os.getpid(), signal.SIGUSR1)
-            payload = json.loads(sink.getvalue())
-            assert "events_ingested_total" in payload
-        finally:
-            signal.signal(signal.SIGUSR1, signal.SIG_DFL)
+        payload = json.loads(sink.getvalue())
+        assert payload["events_ingested_total"]["value"] == 100
